@@ -66,7 +66,8 @@ corpus:
 # timeline-smoke captures a Perfetto timeline from a divergent workload
 # across all seven policies, validates it with timelint (required keys,
 # monotonic per-track timestamps, paired async spans), and re-proves the
-# zero-alloc contract with the probes compiled in but disabled. CI
+# zero-alloc contract with the probes compiled in but disabled, plus
+# that of the cost-table reads every engine makes per instruction. CI
 # uploads the timeline as an artifact.
 TIMELINE ?= timeline.json
 
@@ -74,14 +75,14 @@ timeline-smoke:
 	$(GO) run ./cmd/simd-sim -workload bfs -n 256 -compare -timeline $(TIMELINE)
 	$(GO) run ./cmd/timelint $(TIMELINE)
 	$(GO) test -run TestTimedExecutionZeroAlloc -count 1 ./internal/eu/
+	$(GO) test -run 'TestCostAllZeroAlloc|TestRecordInstrZeroAlloc' -count 1 ./internal/compaction/ ./internal/stats/
 
-# sweep-smoke exercises the trace-once sweep engine end to end on a
-# small grid. The CLI pass oracle-checks every captured trace record
-# (-verify) and hard-asserts replayed accounting equals the capturing
-# execution; the test pass proves one functional execution per group
-# (probe-counted), replayed costs identical to fresh per-policy
-# executions, and /v1/sweep cells byte-identical to freshly executed
-# /v1/run responses on an independent httptest server.
+# sweep-smoke exercises the execute-once sweep engine end to end on a
+# small grid. The CLI pass oracle-checks every executed instruction
+# (-verify); the test pass proves one functional execution per group
+# and no replay (probe-counted), cell costs identical to fresh
+# per-policy executions, and /v1/sweep cells byte-identical to freshly
+# executed /v1/run responses on an independent httptest server.
 sweep-smoke:
 	$(GO) run ./cmd/simd-bench -sweep bsearch,urng -sizes 512 -verify
 	$(GO) test -count 1 -run 'TestSweepSingleExecutionPerWorkload|TestSweepReplayMatchesFreshExecution|TestSweepOracleVerify' ./internal/experiments/

@@ -1,5 +1,5 @@
 // Command simd-bench regenerates the paper's tables and figures and runs
-// ad-hoc policy sweeps on the trace-once, cost-many engine.
+// ad-hoc policy sweeps on the execute-once, cost-many engine.
 //
 // Usage:
 //
@@ -10,12 +10,12 @@
 //	simd-bench -all -workers 4    bound the worker pool
 //
 // Sweeps (one functional execution per workload×width×size group; every
-// policy cell is a bit-parallel trace replay of that group's masks):
+// policy cell reads its cost from that execution's per-policy totals):
 //
 //	simd-bench -sweep bsearch,urng                      full-policy sweep
 //	simd-bench -sweep bsearch -policies scc,bcc \
 //	           -widths 8,16 -sizes 1000,4000            explicit axes
-//	simd-bench -sweep bsearch -verify                   oracle-check traces
+//	simd-bench -sweep bsearch -verify                   oracle-check every instruction
 //
 // Profiling (inspect with `go tool pprof` / `go tool trace`):
 //
@@ -61,11 +61,11 @@ func run() int {
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		traceFile  = flag.String("trace", "", "write a runtime execution trace to this file")
 		timeline   = flag.String("timeline", "", "write a Chrome-trace timeline of the simulated machines to this file")
-		sweep      = flag.String("sweep", "", "comma-separated workloads to sweep trace-once across the policy grid")
+		sweep      = flag.String("sweep", "", "comma-separated workloads to sweep, executed once each, across the policy grid")
 		policies   = flag.String("policies", "", "sweep policy axis, comma-separated (default: all seven)")
 		widths     = flag.String("widths", "", "sweep SIMD-width axis in lanes, comma-separated (0 = native)")
 		sizes      = flag.String("sizes", "", "sweep problem-size axis, comma-separated (0 = workload default)")
-		verify     = flag.Bool("verify", false, "oracle-check every captured sweep trace record by record")
+		verify     = flag.Bool("verify", false, "oracle-check every instruction a sweep executes")
 	)
 	flag.Parse()
 

@@ -189,8 +189,19 @@ func resizeQuads(m mask.Mask, width, group, subWidth int) int {
 
 // Cycles returns the number of execution-pipe cycles an instruction of the
 // given width and element group size occupies under the policy, for
-// execution mask m. The result is always at least 1.
+// execution mask m. The result is always at least 1. It reads the shared
+// cost table (costs.go), so it always agrees with CostAll.
 func (p Policy) Cycles(m mask.Mask, width, group int) int {
+	if w := tableCosts(m, width, group); w != 0 {
+		return w.cycles(p)
+	}
+	return p.referenceCycles(m, width, group)
+}
+
+// referenceCycles is the per-policy definition of the cost model: every
+// cost-table entry is filled from it, and shapes the table does not cover
+// are charged by it directly.
+func (p Policy) referenceCycles(m mask.Mask, width, group int) int {
 	m = m.Trunc(width)
 	full := mask.QuadCount(width, group)
 	if full < 1 {
@@ -231,8 +242,14 @@ func (p Policy) Cycles(m mask.Mask, width, group int) int {
 // run yields EU-cycle totals for every policy.
 func CostAll(m mask.Mask, width, group int) [NumPolicies]int {
 	var out [NumPolicies]int
+	if w := tableCosts(m, width, group); w != 0 {
+		for p := range out {
+			out[p] = w.cycles(Policy(p))
+		}
+		return out
+	}
 	for _, p := range Policies {
-		out[p] = p.Cycles(m, width, group)
+		out[p] = p.referenceCycles(m, width, group)
 	}
 	return out
 }

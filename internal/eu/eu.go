@@ -376,7 +376,7 @@ func (e *EU) issue(ti int, now int64) {
 				Mask: uint32(res.Mask.Trunc(res.Width)), Width: res.Width, Group: res.Group,
 				Cycles: cycles, QuadsDone: int(cycles), QuadsSkipped: full - int(cycles), Swizzles: swz,
 			})
-			e.emitQuads(ti, res, start)
+			e.emitQuads(ti, res, start, cycles)
 		}
 
 		ev := wbEvent{at: start + int64(e.Cfg.PipeDepth) + cycles, thread: ti, flag: -1}
@@ -442,11 +442,12 @@ func (e *EU) issue(ti int, now int64) {
 }
 
 // emitQuads reports the per-cycle lane schedule of one compressed ALU
-// instruction (obs.QuadEvent per execution cycle). It mirrors the cycle
-// accounting of Policy.Cycles so the emitted schedule length equals the
-// charged occupancy. Only called with a probe attached; allocates nothing
-// except under SCC, where the crossbar schedule is materialized.
-func (e *EU) emitQuads(ti int, res ExecResult, start int64) {
+// instruction (obs.QuadEvent per execution cycle). It rebuilds each
+// policy's schedule independently of the cost table and panics if the
+// schedule length differs from the charged occupancy. Only called with a
+// probe attached; allocates nothing except under SCC, where the crossbar
+// schedule is materialized.
+func (e *EU) emitQuads(ti int, res ExecResult, start, charged int64) {
 	m := res.Mask.Trunc(res.Width)
 	n := mask.QuadCount(res.Width, res.Group)
 	idx := 0
@@ -538,6 +539,10 @@ func (e *EU) emitQuads(ti int, res ExecResult, start int64) {
 	}
 	if idx == 0 {
 		emit(0) // an empty mask still occupies one issue slot
+	}
+	if int64(idx) != charged {
+		panic(fmt.Sprintf("eu: %s schedule/%s emitted %d quad cycles but %d were charged (mask %#x)",
+			e.Cfg.Policy, res.Instr.Op, idx, charged, uint32(m)))
 	}
 }
 

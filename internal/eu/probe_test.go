@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"intrawarp/internal/compaction"
+	"intrawarp/internal/isa"
 	"intrawarp/internal/obs"
 	"intrawarp/internal/stats"
 )
@@ -74,7 +75,7 @@ func runDivergentKernel(t *testing.T, policy compaction.Policy, probe obs.Probe)
 // compaction decision per ALU issue, quad events matching the charged
 // execution cycles, and one window event per arbitration window.
 func TestProbeEventCoverage(t *testing.T) {
-	for _, policy := range []compaction.Policy{compaction.Baseline, compaction.IvyBridge, compaction.BCC, compaction.SCC} {
+	for _, policy := range compaction.Policies {
 		t.Run(policy.String(), func(t *testing.T) {
 			probe := &countingProbe{}
 			e := runDivergentKernel(t, policy, probe)
@@ -108,6 +109,21 @@ func TestProbeEventCoverage(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestEmitQuadsAssertsChargedCycles checks the probe-side schedule
+// assertion: a charge that disagrees with the rebuilt schedule panics.
+func TestEmitQuadsAssertsChargedCycles(t *testing.T) {
+	e, _ := newTestEU(compaction.BCC)
+	e.probe = &countingProbe{}
+	res := ExecResult{Instr: &isa.Instruction{Op: isa.OpAdd}, Mask: 0x0F0F, Width: 16, Group: 4}
+	e.emitQuads(0, res, 0, 2) // two live quads: matches the table
+	defer func() {
+		if recover() == nil {
+			t.Fatal("emitQuads accepted a charge of 3 cycles for a 2-quad BCC schedule")
+		}
+	}()
+	e.emitQuads(0, res, 0, 3)
 }
 
 // TestProbeDoesNotPerturbTiming runs the same kernel with and without a

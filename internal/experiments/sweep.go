@@ -14,20 +14,18 @@ import (
 	"intrawarp/internal/oracle"
 	"intrawarp/internal/par"
 	"intrawarp/internal/stats"
-	"intrawarp/internal/trace"
 	"intrawarp/internal/workloads"
 )
 
-// The trace-once, cost-many sweep engine (paper Figs. 3/8/10: the same
-// workload costed under every compaction policy). The execution-mask
-// trace of a functional run is policy-invariant, so a policy sweep needs
-// one functional execution per (workload, width, size) group — the trace
-// is captured by that execution and every policy cell is evaluated by
-// replaying it through the bit-parallel cost kernels of internal/trace.
-// Replayed accounting is asserted bit-identical to the capturing run on
-// every group (stats.MaskCountsEqual), and Verify additionally checks
-// the captured trace record by record against the independent oracle
-// model. Both the CLI sweep (simd-bench -sweep) and the batch serving
+// The execute-once, cost-many sweep engine (paper Figs. 3/8/10: the same
+// workload costed under every compaction policy). Functional execution
+// does not depend on the compaction policy, and one execution already
+// accumulates every policy's EU-cycle total (stats.RecordInstr reads all
+// seven from compaction's cost table). So a policy sweep needs one
+// functional execution per (workload, width, size) group, and each
+// policy cell is a copy of that run with its policy set. Verify checks
+// every executed instruction against the independent oracle model as it
+// runs. Both the CLI sweep (simd-bench -sweep) and the batch serving
 // endpoint (POST /v1/sweep) sit on ExecuteGroup, so they evaluate cells
 // through the same engine.
 
@@ -89,9 +87,9 @@ func ExpandWorkloads(names ...string) ([]string, error) {
 	return out, nil
 }
 
-// GroupSpec identifies one trace-capture group of a sweep: the workload
-// execution whose mask trace serves every policy cell that shares it.
-// Cells of one group differ only in compaction policy.
+// GroupSpec identifies one execution group of a sweep: the workload
+// execution that serves every policy cell sharing it. Cells of one group
+// differ only in compaction policy.
 type GroupSpec struct {
 	Workload string
 	Width    int // SIMD width in lanes; 0 = the kernel's native width
@@ -103,84 +101,61 @@ type GroupSpec struct {
 	PerfectL3       bool
 	// SkipVerify drops the workload's host-side result check.
 	SkipVerify bool
-	// Verify additionally replays the captured trace through the
+	// Verify additionally streams every executed instruction through the
 	// independent oracle model (internal/oracle), checking per-record
 	// cost exactness, the cycle ladder, and SCC schedule soundness —
-	// including the memoized schedule cache the replay kernels share
-	// with the timed engine.
+	// including the memoized schedule cache the timed engine shares.
 	Verify bool
 }
 
-// GroupResult is one executed group: the capturing run, its trace, and
-// the per-policy replayed runs.
+// GroupResult is one executed group: the run and its per-policy cells.
 type GroupResult struct {
 	Spec *workloads.Spec
-	// Base is the aggregate run of the one functional execution that
-	// captured the trace.
+	// Base is the aggregate run of the group's one functional execution.
 	Base *stats.Run
-	// Records is the captured execution-mask trace across all launches.
-	Records []trace.Record
-	// Runs holds one replayed run per policy, each bit-identical to Base
-	// in every mask-derived statistic (asserted at replay time).
+	// Runs holds one run per policy: a deep copy of Base with
+	// TimedPolicy set to that policy.
 	Runs [compaction.NumPolicies]*stats.Run
 }
 
-// ExecuteGroup performs a group's single functional execution with trace
-// capture, then replays the trace once per policy. A probe factory
-// installed with obs.ContextWithProbes observes both halves: the
-// execution as "sweep/<workload>" and each replay cell as
-// "sweep/<workload>/<policy>" (launch-level events, engine
-// "trace-replay").
+// ExecuteGroup performs a group's single functional execution and derives
+// every policy's cell from it. The execution runs on one goroutine: the
+// group is already one task of a sweep's worker pool. A probe factory
+// installed with obs.ContextWithProbes observes the execution as
+// "sweep/<workload>".
 func ExecuteGroup(ctx context.Context, gs GroupSpec) (*GroupResult, error) {
 	spec, err := ResolveSpec(gs.Workload, gs.Width)
 	if err != nil {
 		return nil, err
 	}
-	cfg := gpu.DefaultConfig()
+	cfg := gpu.DefaultConfig().WithWorkers(1)
 	if gs.DCLinesPerCycle > 0 {
 		cfg.Mem.DCLinesPerCycle = gs.DCLinesPerCycle
 	}
 	cfg.Mem.PerfectL3 = gs.PerfectL3
-	probes := obs.ProbesFrom(ctx)
-	if probes != nil {
+	if probes := obs.ProbesFrom(ctx); probes != nil {
 		cfg.EU.Probe = probes("sweep/" + spec.Name)
 	}
-	col := &trace.Collector{}
-	base, err := workloads.ExecuteCtx(ctx, gpu.New(cfg), spec, workloads.ExecOptions{
-		Size:       gs.Size,
-		SkipVerify: gs.SkipVerify,
-		Visit:      col.Visit,
-	})
+	opts := workloads.ExecOptions{Size: gs.Size, SkipVerify: gs.SkipVerify}
+	var chk *oracle.TraceChecker
+	if gs.Verify {
+		chk = &oracle.TraceChecker{}
+		opts.Visit = chk.Visit
+	}
+	base, err := workloads.ExecuteCtx(ctx, gpu.New(cfg), spec, opts)
 	if err != nil {
 		return nil, err
 	}
-	if gs.Verify {
-		if v, n := oracle.CheckTrace(col.Source(), nil); v != nil {
+	if chk != nil {
+		if v, n := chk.Result(); v != nil {
 			return nil, fmt.Errorf("experiments: %s: oracle violation after %d records: %w", spec.Name, n, v)
 		}
 	}
-	res := &GroupResult{Spec: spec, Base: base, Records: col.Records}
+	res := &GroupResult{Spec: spec, Base: base}
 	for _, p := range compaction.Policies {
-		var probe obs.Probe
-		if probes != nil {
-			probe = probes("sweep/" + spec.Name + "/" + p.String())
-		}
-		rep := trace.ReplayObserved(base.Name, p.String(), base.Width, col.Records, probe)
-		// The free equivalence check of the trace-once design: if the
-		// replay kernels ever disagreed with the engine's per-instruction
-		// accounting, the sweep fails rather than serving wrong costs.
-		if !rep.MaskCountsEqual(base) {
-			return nil, fmt.Errorf("experiments: %s/%s: replayed trace accounting diverges from the capturing execution", spec.Name, p)
-		}
-		// Mask-derived statistics were recomputed by the replay; the
-		// policy-invariant remainder (identity, memory behaviour) carries
-		// over from the capturing run.
-		rep.Name, rep.Width = base.Name, base.Width
-		rep.Sends, rep.SendLines = base.Sends, base.SendLines
-		rep.Barriers = base.Barriers
-		rep.Mem, rep.L3HitRate = base.Mem, base.L3HitRate
-		rep.TimedPolicy = p
-		res.Runs[p] = rep
+		run := base.Clone()
+		run.TimedPolicy = p
+		res.Runs[p] = run
 	}
 	return res, nil
 }
@@ -193,7 +168,7 @@ type SweepCell struct {
 	Size     int // 0 = default
 }
 
-// group is a cell's trace-capture group identity.
+// group is a cell's execution group identity.
 func (c SweepCell) group() groupKey { return groupKey{c.Workload, c.Width, c.Size} }
 
 type groupKey struct {
@@ -208,16 +183,18 @@ type SweepResult struct {
 }
 
 // SweepOutcome is a completed sweep: per-cell results in grid order plus
-// the execution/replay tallies that quantify the trace-once design.
+// the tallies that quantify the execute-once design.
 type SweepOutcome struct {
 	Results    []SweepResult
-	Executions int   // functional executions performed (one per group)
-	Replays    int   // trace replays performed
-	Records    int64 // captured trace records across all groups
+	Executions int // functional executions performed (one per group)
+	// Replays is always 0: policy cells are copies of their group's run,
+	// not trace replays. It stays for callers that report it.
+	Replays int
+	Records int64 // instructions executed across all groups
 }
 
 // Sweep is a first-class policy sweep: the cross product of workloads ×
-// policies × SIMD widths × problem sizes, evaluated trace-once,
+// policies × SIMD widths × problem sizes, evaluated execute-once,
 // cost-many. Build one with NewSweep and the Sweep* options.
 type Sweep struct {
 	workloads  []string
@@ -314,7 +291,8 @@ func SweepSkipChecks() SweepOption {
 	return func(s *Sweep) error { s.skipVerify = true; return nil }
 }
 
-// SweepVerify oracle-checks every captured trace (see GroupSpec.Verify).
+// SweepVerify oracle-checks every executed instruction (see
+// GroupSpec.Verify).
 func SweepVerify() SweepOption {
 	return func(s *Sweep) error { s.verify = true; return nil }
 }
@@ -366,9 +344,9 @@ func (s *Sweep) Cells() []SweepCell {
 	return cells
 }
 
-// Run evaluates the grid: one functional execution per group (in
-// parallel on the worker pool), every cell a trace replay. Group errors
-// are joined in grid order; a failed group fails the sweep.
+// Run evaluates the grid: one functional execution per group, in
+// parallel on the worker pool. Group errors are joined in grid order; a
+// failed group fails the sweep.
 func (s *Sweep) Run(ctx context.Context) (*SweepOutcome, error) {
 	cells := s.Cells()
 	var order []groupKey
@@ -417,9 +395,8 @@ func (s *Sweep) Run(ctx context.Context) (*SweepOutcome, error) {
 		out.Results = append(out.Results, SweepResult{Cell: c, Run: g.Runs[c.Policy]})
 	}
 	out.Executions = len(order)
-	out.Replays = len(order) * compaction.NumPolicies
 	for _, g := range results {
-		out.Records += int64(len(g.Records))
+		out.Records += g.Base.Instructions
 	}
 	return out, nil
 }
@@ -442,6 +419,6 @@ func (o *SweepOutcome) Render(w io.Writer) {
 			fmt.Sprintf("%.1f%%", 100*run.EUCycleReduction(r.Cell.Policy)))
 	}
 	t.render(w)
-	fmt.Fprintf(w, "%d cells from %d executions + %d replays over %d trace records\n",
-		len(o.Results), o.Executions, o.Replays, o.Records)
+	fmt.Fprintf(w, "%d cells from %d executions over %d instructions\n",
+		len(o.Results), o.Executions, o.Records)
 }

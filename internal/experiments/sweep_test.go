@@ -20,7 +20,7 @@ import (
 // drains), and a second single-launch one.
 var sweepSet = []string{"bfs", "bsearch", "urng"}
 
-// freshRun is the pre-replay path: one full functional execution of the
+// freshRun is the per-cell path: one full functional execution of the
 // workload under the given policy's machine configuration.
 func freshRun(t testing.TB, name string, p compaction.Policy, size, workers int) *stats.Run {
 	t.Helper()
@@ -36,10 +36,10 @@ func freshRun(t testing.TB, name string, p compaction.Policy, size, workers int)
 	return run
 }
 
-// TestSweepSingleExecutionPerWorkload is the trace-once guarantee: a
+// TestSweepSingleExecutionPerWorkload is the execute-once guarantee: a
 // full seven-policy sweep performs exactly as many functional launches as
-// executing each workload once — the policy axis is served entirely by
-// trace replays.
+// executing each workload once, and no trace replay — the policy axis is
+// served entirely by the one execution's per-policy totals.
 func TestSweepSingleExecutionPerWorkload(t *testing.T) {
 	// Baseline: one execution per workload, counting launches (BFS
 	// launches several times per execution, so launch counts — not
@@ -53,7 +53,7 @@ func TestSweepSingleExecutionPerWorkload(t *testing.T) {
 		cfg := gpu.DefaultConfig()
 		cfg.EU.Probe = base
 		// A visitor forces the serial functional engine, matching the
-		// sweep's trace-capture executions.
+		// sweep's one-worker executions.
 		noop := func(int, int, eu.ExecResult) {}
 		_, err = workloads.ExecuteCtx(context.Background(), gpu.New(cfg), spec,
 			workloads.ExecOptions{Size: workloads.QuickSize(spec), Visit: noop})
@@ -77,10 +77,13 @@ func TestSweepSingleExecutionPerWorkload(t *testing.T) {
 		t.Errorf("sweep performed %d functional launches, want %d (one execution per workload)", got, want)
 	}
 	if n := counts.Launches("functional-parallel"); n != 0 {
-		t.Errorf("sweep performed %d parallel functional launches, want 0 (capture is serial)", n)
+		t.Errorf("sweep performed %d parallel functional launches, want 0 (groups run on one worker)", n)
 	}
-	if got, want := counts.Launches("trace-replay"), len(sweepSet)*compaction.NumPolicies; got != want {
-		t.Errorf("sweep performed %d trace replays, want %d", got, want)
+	if n := counts.Launches("trace-replay"); n != 0 {
+		t.Errorf("sweep performed %d trace replays, want 0", n)
+	}
+	if out.Replays != 0 {
+		t.Errorf("outcome reports %d replays, want 0", out.Replays)
 	}
 	if out.Executions != len(sweepSet) {
 		t.Errorf("outcome reports %d executions, want %d", out.Executions, len(sweepSet))
@@ -91,8 +94,9 @@ func TestSweepSingleExecutionPerWorkload(t *testing.T) {
 }
 
 // TestSweepReplayMatchesFreshExecution is the cost-many guarantee: every
-// cell's replayed report is byte-identical to the report of a fresh
-// functional execution under that cell's policy.
+// cell's report is byte-identical to the report of a fresh functional
+// execution under that cell's policy, and no two cells share a
+// histogram.
 func TestSweepReplayMatchesFreshExecution(t *testing.T) {
 	sw, err := NewSweep(SweepWorkloads(sweepSet...), SweepQuick())
 	if err != nil {
@@ -117,17 +121,26 @@ func TestSweepReplayMatchesFreshExecution(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s/%s: replayed report != fresh execution report\nreplay: %s\nfresh:  %s",
+			t.Errorf("%s/%s: sweep cell report != fresh execution report\nsweep: %s\nfresh: %s",
 				res.Cell.Workload, res.Cell.Policy, got, want)
 		}
-		if !res.Run.MaskCountsEqual(fresh) {
-			t.Errorf("%s/%s: replayed mask counts diverge from fresh execution", res.Cell.Workload, res.Cell.Policy)
+		if res.Run.TimedPolicy != res.Cell.Policy {
+			t.Errorf("%s/%s: cell run carries policy %s", res.Cell.Workload, res.Cell.Policy, res.Run.TimedPolicy)
+		}
+	}
+	hists := map[*stats.WidthHist]SweepCell{}
+	for _, res := range out.Results {
+		for _, h := range res.Run.Hist {
+			if other, dup := hists[h]; dup {
+				t.Fatalf("cells %v and %v share a histogram", other, res.Cell)
+			}
+			hists[h] = res.Cell
 		}
 	}
 }
 
-// TestSweepOracleVerify runs a sweep with per-record oracle checking of
-// every captured trace enabled.
+// TestSweepOracleVerify runs a sweep with per-instruction oracle
+// checking enabled.
 func TestSweepOracleVerify(t *testing.T) {
 	sw, err := NewSweep(SweepWorkloads("bsearch"), SweepQuick(), SweepVerify())
 	if err != nil {
@@ -169,7 +182,7 @@ func TestSweepWidthAxis(t *testing.T) {
 
 // TestSweepCorpusRange feeds a generated-corpus range plus a registered
 // workload through one sweep: the range expands to one column per
-// kernel, every corpus trace passes the per-record oracle check
+// kernel, every corpus instruction passes the per-record oracle check
 // (SweepVerify), and the whole grid is byte-identical across two runs —
 // generation determinism holding through the sweep path.
 func TestSweepCorpusRange(t *testing.T) {
@@ -306,8 +319,8 @@ func TestSweepDefaults(t *testing.T) {
 	}
 }
 
-// BenchmarkSweepGridReplay measures the trace-once sweep over a 3
-// workload × 7 policy grid; BenchmarkSweepGridExecute is the pre-replay
+// BenchmarkSweepGridReplay measures the execute-once sweep over a 3
+// workload × 7 policy grid; BenchmarkSweepGridExecute is the per-cell
 // path over the same grid (one functional execution per cell). Both run
 // serially (Workers 1) so the comparison is engine vs engine, not
 // scheduling. Their ratio is the sweep engine's headline speedup.

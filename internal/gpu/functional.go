@@ -19,17 +19,18 @@ import (
 type InstrVisitor func(wg, thread int, res eu.ExecResult)
 
 // runWorkgroup functionally executes one workgroup to completion on a
-// detached pool of thread contexts, accumulating into run. Threads are
-// interleaved one instruction at a time, which resolves barriers and
-// keeps intra-workgroup atomics deterministic.
+// detached pool of thread contexts, accumulating into run. slm belongs to
+// the pool and is cleared first, so the workgroup sees a fresh
+// scratchpad. Threads are interleaved one instruction at a time, which
+// resolves barriers and keeps intra-workgroup atomics deterministic.
 //
 // A non-nil probe receives per-instruction obs events. The functional
 // engine has no clock; instruction indices stand in for cycles, offset by
 // stepBase so a serial run's event stream is monotonic across workgroups.
 // The executed step count is returned for that accumulation.
-func (g *GPU) runWorkgroup(pool []*eu.Thread, spec *LaunchSpec, wg int, run *stats.Run, visit InstrVisitor, probe obs.Probe, stepBase int64) (int64, error) {
+func (g *GPU) runWorkgroup(pool []*eu.Thread, slm *memory.SLM, spec *LaunchSpec, wg int, run *stats.Run, visit InstrVisitor, probe obs.Probe, stepBase int64) (int64, error) {
 	const maxSteps = 1 << 32
-	slm := memory.NewSLM(g.Cfg.Mem.SLMBytes, g.Cfg.Mem.SLMBanks)
+	slm.Clear()
 	for t := range pool {
 		initThread(pool[t], spec, wg, t, slm, run)
 	}
@@ -130,8 +131,8 @@ func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit Instr
 	}
 	probe := g.Cfg.EU.Probe
 	if visit != nil || workers <= 1 {
-		// Serial path: one thread-context pool, reused across workgroups,
-		// all accumulating directly into run.
+		// Serial path: one thread-context pool and scratchpad, reused
+		// across workgroups, all accumulating directly into run.
 		if probe != nil {
 			probe.LaunchBegin(obs.LaunchEvent{
 				Engine: "functional", Kernel: spec.Kernel.Name,
@@ -142,12 +143,13 @@ func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit Instr
 		for i := range pool {
 			pool[i] = &eu.Thread{}
 		}
+		slm := g.newSLM()
 		var steps int64
 		for wg := 0; wg < numWGs; wg++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			n, err := g.runWorkgroup(pool, &spec, wg, run, visit, probe, steps)
+			n, err := g.runWorkgroup(pool, slm, &spec, wg, run, visit, probe, steps)
 			if err != nil {
 				return nil, err
 			}
@@ -166,11 +168,13 @@ func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit Instr
 	shards := make([]*stats.Run, numWGs)
 	errs := make([]error, numWGs)
 	pools := make([][]*eu.Thread, workers)
+	slms := make([]*memory.SLM, workers)
 	for w := range pools {
 		pools[w] = make([]*eu.Thread, threadsPerWG)
 		for i := range pools[w] {
 			pools[w][i] = &eu.Thread{}
 		}
+		slms[w] = g.newSLM()
 	}
 	if probe != nil {
 		probe.LaunchBegin(obs.LaunchEvent{
@@ -190,7 +194,7 @@ func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit Instr
 		// Workgroups run concurrently, so instruction indices are local to
 		// each workgroup; a probe attached here must be safe for concurrent
 		// use (obs.Timeline is) and orders events by timestamp at export.
-		stepCounts[wg], errs[wg] = g.runWorkgroup(pools[worker], &spec, wg, shard, nil, probe, 0)
+		stepCounts[wg], errs[wg] = g.runWorkgroup(pools[worker], slms[worker], &spec, wg, shard, nil, probe, 0)
 		shard.Release()
 		shards[wg] = shard
 	})

@@ -207,10 +207,13 @@ func (g *GPU) getWorkgroup(id int) *workgroup {
 		g.slmPool = g.slmPool[:n-1]
 		wg.slm.Clear()
 	} else {
-		wg.slm = memory.NewSLM(g.Cfg.Mem.SLMBytes, g.Cfg.Mem.SLMBanks)
+		wg.slm = g.newSLM()
 	}
 	return wg
 }
+
+// newSLM allocates one workgroup scratchpad of the configured geometry.
+func (g *GPU) newSLM() *memory.SLM { return memory.NewSLM(g.Cfg.Mem.SLMBytes, g.Cfg.Mem.SLMBanks) }
 
 // putWorkgroup returns a retired workgroup and its scratchpad to the
 // pools. Member contexts go back to ThreadIdle here — and only here —

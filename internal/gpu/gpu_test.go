@@ -326,6 +326,57 @@ func TestBarrierAndSLM(t *testing.T) {
 	}
 }
 
+// TestSLMFreshPerWorkgroup runs a kernel in which every workgroup first
+// reads its SLM and then writes it: each workgroup must read zeros, as
+// from a fresh NewSLM, although the engines reuse one scratchpad across
+// workgroups (per thread pool, per parallel worker, and pooled in the
+// timed engine).
+func TestSLMFreshPerWorkgroup(t *testing.T) {
+	b := kbuild.New("slmfresh", isa.SIMD16)
+	off := b.Vec()
+	b.And(off, b.GlobalID(), b.U(31))
+	b.MulU(off, off, b.U(4))
+	seen := b.Vec()
+	b.LoadSLM(seen, off)
+	b.StoreScatter(b.Addr(b.Arg(0), b.GlobalID(), 4), seen)
+	b.Barrier()
+	mark := b.Vec()
+	b.AddU(mark, b.GlobalID(), b.U(1))
+	b.StoreSLM(off, mark)
+	b.SetSLMBytes(32 * 4)
+	k, err := b.Build()
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	const groups, gsize = 8, 32
+	for _, c := range []struct {
+		name    string
+		workers int
+		timed   bool
+	}{{"serial", 1, false}, {"parallel", 2, false}, {"timed", 1, true}} {
+		g := New(DefaultConfig().WithWorkers(c.workers))
+		ones := make([]uint32, groups*gsize)
+		for i := range ones {
+			ones[i] = 1
+		}
+		out := g.AllocU32(len(ones), ones)
+		spec := LaunchSpec{Kernel: k, GlobalSize: groups * gsize, GroupSize: gsize, Args: []uint32{out}}
+		if c.timed {
+			_, err = g.Run(spec)
+		} else {
+			_, err = g.RunFunctional(spec, nil)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for i, v := range g.ReadBufferU32(out, len(ones)) {
+			if v != 0 {
+				t.Fatalf("%s: work item %d read %d from SLM, want 0 (a previous workgroup's write leaked)", c.name, i, v)
+			}
+		}
+	}
+}
+
 func TestDC2FasterThanDC1OnMemoryBound(t *testing.T) {
 	// A strided gather kernel (one line per lane) saturates the data
 	// cluster; DC2 must finish faster.

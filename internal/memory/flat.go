@@ -181,6 +181,9 @@ func (f *Flat) ReadBytes(addr uint32, dst []byte) {
 type SLM struct {
 	data  []byte
 	banks int
+	// dirty is the written high-water mark: every byte at or above it is
+	// still zero, so Clear zeroes only the prefix below it.
+	dirty int
 
 	// ConflictCycles scratch, reused across calls: the distinct words of
 	// one access and the per-bank tallies. An SLM belongs to exactly one
@@ -199,9 +202,10 @@ func NewSLM(size, banks int) *SLM {
 }
 
 // Clear zeroes the scratchpad so a pooled SLM is indistinguishable from a
-// fresh NewSLM allocation.
+// fresh NewSLM allocation. It touches only the written prefix.
 func (s *SLM) Clear() {
-	clear(s.data)
+	clear(s.data[:s.dirty])
+	s.dirty = 0
 }
 
 // Size returns the scratchpad capacity in bytes.
@@ -221,6 +225,9 @@ func (s *SLM) WriteU32(off uint32, v uint32) {
 		panic(fmt.Sprintf("memory: SLM write %#x outside %d-byte scratchpad", off, len(s.data)))
 	}
 	binary.LittleEndian.PutUint32(s.data[off:], v)
+	if end := int(off) + 4; end > s.dirty {
+		s.dirty = end
+	}
 }
 
 // ConflictCycles returns the number of serialized access cycles for a set

@@ -145,6 +145,24 @@ func TestSLMConflicts(t *testing.T) {
 	}
 }
 
+// TestSLMClearDirtyPrefix checks that Clear, which zeroes only the
+// written prefix, leaves the scratchpad indistinguishable from a fresh
+// NewSLM, including after writes at the very end and repeated clears.
+func TestSLMClearDirtyPrefix(t *testing.T) {
+	s := NewSLM(1024, 16)
+	for round, offs := range [][]uint32{{0, 512}, {1020}, {}, {4, 8, 12}} {
+		for _, off := range offs {
+			s.WriteU32(off, 0xDEAD0000|off)
+		}
+		s.Clear()
+		for off := uint32(0); off < 1024; off += 4 {
+			if v := s.ReadU32(off); v != 0 {
+				t.Fatalf("round %d: offset %d reads %#x after Clear, want 0", round, off, v)
+			}
+		}
+	}
+}
+
 func TestSLMReadWrite(t *testing.T) {
 	s := NewSLM(1024, 16)
 	s.WriteU32(100, 77)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"intrawarp/internal/compaction"
+	"intrawarp/internal/eu"
 	"intrawarp/internal/mask"
 	"intrawarp/internal/trace"
 )
@@ -265,26 +266,57 @@ func normGroup(g int) int {
 	return g
 }
 
-// CheckTrace replays a record stream through CheckRecord, deduplicating
-// (mask, width, group) signatures — invariants are pure functions of the
-// signature, so each is checked once. It returns the first violation
-// (nil if the stream is clean) and the number of records consumed.
+// TraceChecker is CheckTrace as a stream consumer: it holds the
+// signature dedup set and the first violation, so records can be checked
+// as an engine produces them instead of from a buffered trace. Visit
+// matches the functional engine's visitor signature. After the first
+// violation the checker ignores further records.
+type TraceChecker struct {
+	// Cost is the engine cost model under test; nil means the real one.
+	Cost CostFunc
+
+	seen map[uint64]struct{}
+	n    int64
+	v    *Violation
+}
+
+// Check verifies one record. (mask, width, group) signatures are checked
+// once each: the invariants are pure functions of the signature.
+func (c *TraceChecker) Check(rec trace.Record) {
+	if c.v != nil {
+		return
+	}
+	width, group := int(rec.Width), normGroup(int(rec.Group))
+	key := uint64(uint32(rec.Mask)) | uint64(uint8(width))<<32 | uint64(uint8(group))<<40
+	if _, dup := c.seen[key]; !dup {
+		if c.seen == nil {
+			c.seen = make(map[uint64]struct{})
+		}
+		c.seen[key] = struct{}{}
+		c.v = CheckRecord(int(c.n), width, group, rec.Mask, c.Cost)
+	}
+	c.n++
+}
+
+// Visit checks one functionally executed instruction.
+func (c *TraceChecker) Visit(_, _ int, res eu.ExecResult) { c.Check(trace.RecordOf(res)) }
+
+// Result returns the first violation (nil if every record was clean) and
+// the number of records consumed, the violating one included.
+func (c *TraceChecker) Result() (*Violation, int64) { return c.v, c.n }
+
+// CheckTrace runs a record stream through a TraceChecker until the
+// stream ends or a record violates an invariant. It returns the first
+// violation (nil if the stream is clean) and the number of records
+// consumed.
 func CheckTrace(src trace.Source, cost CostFunc) (*Violation, int64) {
-	seen := make(map[uint64]struct{})
-	var n int64
-	for {
+	c := &TraceChecker{Cost: cost}
+	for c.v == nil {
 		rec, ok := src.Next()
 		if !ok {
-			return nil, n
+			break
 		}
-		width, group := int(rec.Width), normGroup(int(rec.Group))
-		key := uint64(uint32(rec.Mask)) | uint64(uint8(width))<<32 | uint64(uint8(group))<<40
-		if _, dup := seen[key]; !dup {
-			seen[key] = struct{}{}
-			if v := CheckRecord(int(n), width, group, rec.Mask, cost); v != nil {
-				return v, n + 1
-			}
-		}
-		n++
+		c.Check(rec)
 	}
+	return c.Result()
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"intrawarp/internal/compaction"
+	"intrawarp/internal/gpu"
 	"intrawarp/internal/mask"
 	"intrawarp/internal/workloads"
 )
@@ -102,6 +103,48 @@ func TestDiffCatchesSeededBCCFault(t *testing.T) {
 	}
 	if d.Repro.Rule != "cost/bcc-exact" {
 		t.Errorf("repro rule = %q, want cost/bcc-exact", d.Repro.Rule)
+	}
+}
+
+// TestTraceCheckerStreamsSeededFaults installs the streaming checker as
+// the functional engine's visitor, as a verified sweep does, and proves
+// it catches both seeded faults with no trace buffered, then runs clean
+// once the fault is reverted.
+func TestTraceCheckerStreamsSeededFaults(t *testing.T) {
+	scc := func(p compaction.Policy, m mask.Mask, width, group int) int {
+		c := EngineCost(p, m, width, group)
+		if p == compaction.SCC && PopCount(uint32(m), width) > group {
+			c++
+		}
+		return c
+	}
+	bcc := func(p compaction.Policy, m mask.Mask, width, group int) int {
+		c := EngineCost(p, m, width, group)
+		if p == compaction.BCC && c > 1 && ActiveGroups(uint32(m), width, group) < Groups(width, group) {
+			c--
+		}
+		return c
+	}
+	spec := specsFor(t, "nw")[0]
+	for _, c := range []struct {
+		cost CostFunc
+		rule string
+	}{{scc, "cost/scc-exact"}, {bcc, "cost/bcc-exact"}, {nil, ""}} {
+		chk := &TraceChecker{Cost: c.cost}
+		_, err := workloads.ExecuteCtx(context.Background(), gpu.New(gpu.DefaultConfig().WithWorkers(1)), spec,
+			workloads.ExecOptions{Size: workloads.QuickSize(spec), Visit: chk.Visit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, n := chk.Result()
+		switch {
+		case c.rule == "" && v != nil:
+			t.Errorf("clean cost model: violation after %d records: %v", n, v)
+		case c.rule == "" && n == 0:
+			t.Error("clean cost model: checker saw no records")
+		case c.rule != "" && (v == nil || v.Rule != c.rule):
+			t.Errorf("seeded %s fault: got violation %v, want rule %s", c.rule, v, c.rule)
+		}
 	}
 }
 

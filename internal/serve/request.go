@@ -125,10 +125,9 @@ func (r ExperimentRequest) key() string {
 // of workloads × policies × SIMD widths × sizes — streamed back as
 // NDJSON with one /v1/run response object per cell. Cells that share a
 // (workload, width, size, memory-config) group are evaluated
-// trace-once, cost-many: one functional execution captures the group's
-// execution-mask trace and every policy cell is a bit-parallel replay
-// of it (internal/trace), so a full-policy sweep costs one execution per
-// group, not four.
+// execute-once, cost-many: one functional execution accumulates every
+// policy's cost and serves every policy cell, so a full-policy sweep
+// costs one execution per group, not seven.
 type SweepRequest struct {
 	// Workloads is the workload axis; at least one name is required.
 	Workloads []string `json:"workloads"`
@@ -203,9 +202,9 @@ func (r *SweepRequest) cells() ([]RunRequest, error) {
 	return cells, nil
 }
 
-// groupKey is the content address of a cell's trace-capture group:
-// every field of the canonicalized cell except the policy (served by
-// replay) and the worker knob (never part of any key).
+// groupKey is the content address of a cell's execution group: every
+// field of the canonicalized cell except the policy (served by the
+// shared execution) and the worker knob (never part of any key).
 func (r RunRequest) groupKey() string {
 	r.Policy = ""
 	r.Workers = 0

@@ -56,7 +56,7 @@ func readSweep(t *testing.T, body io.Reader) (results, errLines [][]byte, sum sw
 
 // TestSweepCellsByteIdenticalToRun is the API contract at its core: a
 // sweep over two workloads serves full policy grids from two executions
-// (trace-once), every streamed cell is byte-for-byte the /v1/run
+// (execute-once), every streamed cell is byte-for-byte the /v1/run
 // response of the request it echoes — including one computed by a fresh
 // execution on an independent server — and the cells share the /v1/run
 // result cache in both directions.
@@ -74,7 +74,7 @@ func TestSweepCellsByteIdenticalToRun(t *testing.T) {
 	if len(errLines) != 0 {
 		t.Fatalf("sweep produced %d error lines: %s", len(errLines), errLines[0])
 	}
-	want := sweepSummary{Cells: 14, CacheHits: 0, Executions: 2, Replays: 14, Failed: 0, Complete: true}
+	want := sweepSummary{Cells: 14, CacheHits: 0, Executions: 2, Failed: 0, Complete: true}
 	if sum != want {
 		t.Errorf("summary = %+v, want %+v", sum, want)
 	}
@@ -107,8 +107,8 @@ func TestSweepCellsByteIdenticalToRun(t *testing.T) {
 		}
 	}
 
-	// Cross-server: a fresh server executes the sample cell functionally
-	// (no trace replay involved) and must produce the same bytes.
+	// Cross-server: a fresh server executes the sample cell under its
+	// own policy (no sweep involved) and must produce the same bytes.
 	_, ts2 := newTestServer(t, Config{})
 	freshResp, freshData := post(t, ts2, "/v1/run", string(sample))
 	if freshResp.StatusCode != http.StatusOK {
@@ -125,18 +125,20 @@ func TestSweepCellsByteIdenticalToRun(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Error("no sweep cell matches the freshly executed /v1/run bytes — replayed costs diverge from execution")
+		t.Error("no sweep cell matches the freshly executed /v1/run bytes — sweep costs diverge from execution")
 	}
 
 	m := scrapeMetrics(t, ts)
 	for metric, want := range map[string]int64{
 		"sweeps_total": 1, "sweep_cells_total": 14,
-		"sweep_executions_total": 2, "sweep_replays_total": 14,
-		"simulations_total": 2,
+		"sweep_executions_total": 2, "simulations_total": 2,
 	} {
 		if m[metric] != want {
 			t.Errorf("%s = %d, want %d", metric, m[metric], want)
 		}
+	}
+	if _, ok := m["sweep_replays_total"]; ok {
+		t.Error("sweep_replays_total is still exported; sweeps replay nothing")
 	}
 
 	// A repeat sweep is served entirely from the cache: same line set
@@ -147,7 +149,7 @@ func TestSweepCellsByteIdenticalToRun(t *testing.T) {
 		t.Fatalf("repeat status %d", resp2.StatusCode)
 	}
 	results2, _, sum2 := readSweep(t, bytes.NewReader(data2))
-	want2 := sweepSummary{Cells: 14, CacheHits: 14, Executions: 0, Replays: 0, Failed: 0, Complete: true}
+	want2 := sweepSummary{Cells: 14, CacheHits: 14, Executions: 0, Failed: 0, Complete: true}
 	if sum2 != want2 {
 		t.Errorf("repeat summary = %+v, want %+v", sum2, want2)
 	}
@@ -242,7 +244,7 @@ func TestSweepFlushesPartialResultsAndDisconnectCancels(t *testing.T) {
 	if len(errLines2) != 0 {
 		t.Fatalf("follow-up sweep errored: %s", errLines2[0])
 	}
-	want := sweepSummary{Cells: 7, CacheHits: 7, Executions: 0, Replays: 0, Failed: 0, Complete: true}
+	want := sweepSummary{Cells: 7, CacheHits: 7, Executions: 0, Failed: 0, Complete: true}
 	if sum2 != want {
 		t.Errorf("follow-up summary = %+v, want %+v", sum2, want)
 	}

@@ -162,7 +162,8 @@ func NewRun(name string, width int) *Run {
 
 // RecordInstr accounts one executed instruction with the given width,
 // element group size, and final execution mask. It updates efficiency
-// counters, the utilization histogram, and the per-policy cycle totals.
+// counters, the utilization histogram, and the per-policy cycle totals,
+// which it reads from compaction's cost table.
 func (r *Run) RecordInstr(width, group int, m mask.Mask) {
 	r.guard.assertOwner()
 	m = m.Trunc(width)
@@ -192,67 +193,17 @@ func (r *Run) RecordInstr(width, group int, m mask.Mask) {
 	}
 }
 
-// MaskBatch is a pre-aggregated block of instruction accounting for one
-// SIMD width: the per-policy cycle totals, lane counts, and histogram
-// deltas of a homogeneous record segment, computed externally by the
-// trace replay's bit-parallel kernels (internal/trace). BulkRecord folds
-// it into a Run in one step.
-type MaskBatch struct {
-	Instructions int64
-	ActiveLanes  int64
-	PolicyCycles [compaction.NumPolicies]int64
-	Buckets      [Quartiles]int64
-	Empty        int64
-}
-
-// BulkRecord accounts a batch of executed instructions of one SIMD
-// width. It is arithmetically identical to calling RecordInstr once per
-// instruction of the batch (a property-tested invariant of the trace
-// replay engine), but lets callers that can compute the aggregates with
-// word-parallel kernels skip the per-record bookkeeping.
-func (r *Run) BulkRecord(width int, b *MaskBatch) {
-	r.guard.assertOwner()
-	r.Instructions += b.Instructions
-	r.ActiveLanes += b.ActiveLanes
-	r.TotalLanes += int64(width) * b.Instructions
-	for p := range r.PolicyCycles {
-		r.PolicyCycles[p] += b.PolicyCycles[p]
-	}
-	h := r.Hist[width]
-	if h == nil {
-		h = &WidthHist{Width: width}
-		r.Hist[width] = h
-	}
-	h.Empty += b.Empty
-	for i := range b.Buckets {
-		h.Buckets[i] += b.Buckets[i]
-	}
-}
-
-// MaskCountsEqual reports whether two runs accumulated identical
-// mask-derived statistics: instruction and lane counts, every policy's
-// cycle total, and the full utilization histogram. This is the
-// equivalence the trace-replay sweep engine asserts between a replayed
-// trace and the execution that captured it; memory-side and timed
-// quantities are deliberately excluded (a mask trace cannot re-derive
-// them, so replays copy them from the capturing run instead).
-func (r *Run) MaskCountsEqual(o *Run) bool {
-	if r.Instructions != o.Instructions || r.ActiveLanes != o.ActiveLanes || r.TotalLanes != o.TotalLanes {
-		return false
-	}
-	if r.PolicyCycles != o.PolicyCycles {
-		return false
-	}
-	if len(r.Hist) != len(o.Hist) {
-		return false
-	}
+// Clone returns a deep copy of r that shares no mutable state with it:
+// the histogram is copied entry by entry, and the copy has no writer yet.
+func (r *Run) Clone() *Run {
+	c := *r
+	c.guard = writerGuard{}
+	c.Hist = make(map[int]*WidthHist, len(r.Hist))
 	for w, h := range r.Hist {
-		oh := o.Hist[w]
-		if oh == nil || h.Empty != oh.Empty || h.Buckets != oh.Buckets {
-			return false
-		}
+		hc := *h
+		c.Hist[w] = &hc
 	}
-	return true
+	return &c
 }
 
 // RecordSend accounts one global-memory SEND with its coalesced line count.

@@ -299,18 +299,10 @@ func AnalyzeTrace(name string, records []TraceRecord) *Run {
 	return trace.Analyze(name, &trace.SliceSource{Records: records})
 }
 
-// ReplayTrace produces the same accounting as AnalyzeTrace through the
-// bit-parallel replay kernels (packed-word popcounts and cost LUTs) —
-// the engine behind RunSweep. Prefer it when the same trace is costed
-// many times.
-func ReplayTrace(name string, records []TraceRecord) *Run {
-	return trace.Replay(name, records)
-}
-
-// The trace-once, cost-many sweep API: a Sweep is a grid of workload ×
+// The execute-once, cost-many sweep API: a Sweep is a grid of workload ×
 // policy × SIMD-width × size cells where each (workload, width, size)
-// group is executed functionally once — capturing its execution-mask
-// trace — and every policy cell is a bit-parallel replay of that trace.
+// group is executed functionally once, and every policy cell reads its
+// cost from that execution's per-policy totals.
 type (
 	// Sweep is a policy-sweep grid; build one with NewSweep.
 	Sweep = experiments.Sweep
@@ -320,7 +312,7 @@ type (
 	SweepCell = experiments.SweepCell
 	// SweepResult is one evaluated cell.
 	SweepResult = experiments.SweepResult
-	// SweepOutcome is a completed sweep with its execution/replay tallies.
+	// SweepOutcome is a completed sweep with its execution tallies.
 	SweepOutcome = experiments.SweepOutcome
 )
 
