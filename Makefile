@@ -66,15 +66,16 @@ corpus:
 # timeline-smoke captures a Perfetto timeline from a divergent workload
 # across all seven policies, validates it with timelint (required keys,
 # monotonic per-track timestamps, paired async spans), and re-proves the
-# zero-alloc contract with the probes compiled in but disabled, plus
-# that of the cost-table reads every engine makes per instruction. CI
-# uploads the timeline as an artifact.
+# zero-alloc contract with the probes compiled in but disabled, with a
+# probe attached and ValidateSCC on (every SCC schedule rebuilt into the
+# EU's scratch schedule), and of the cost-table reads every engine makes
+# per instruction. CI uploads the timeline as an artifact.
 TIMELINE ?= timeline.json
 
 timeline-smoke:
 	$(GO) run ./cmd/simd-sim -workload bfs -n 256 -compare -timeline $(TIMELINE)
 	$(GO) run ./cmd/timelint $(TIMELINE)
-	$(GO) test -run TestTimedExecutionZeroAlloc -count 1 ./internal/eu/
+	$(GO) test -run 'TestTimedExecutionZeroAlloc|TestTimedSCCScheduleRebuildZeroAlloc' -count 1 ./internal/eu/
 	$(GO) test -run 'TestCostAllZeroAlloc|TestRecordInstrZeroAlloc' -count 1 ./internal/compaction/ ./internal/stats/
 
 # sweep-smoke exercises the execute-once sweep engine end to end on a

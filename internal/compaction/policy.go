@@ -146,17 +146,6 @@ func EffectiveSubWarp(group, subWidth int) int {
 	return eff
 }
 
-// MeldingCycles is the Melding cost before the 1-cycle issue minimum:
-// fully-enabled quads issue alone (no dead lane can host the melded
-// twin), partially-enabled quads pair up with the complementary branch
-// path and share issue slots, dead quads vanish.
-func MeldingCycles(m mask.Mask, width, group int) int {
-	m = m.Trunc(width)
-	full := m.FullQuads(width, group)
-	partial := m.ActiveQuads(width, group) - full
-	return full + (partial+1)/2
-}
-
 // ResizeCycles returns the execution-pipe cycles of the Resize policy at
 // an explicit sub-warp width, floored at one issue slot like every
 // policy: each aligned sub-warp with at least one enabled lane executes
@@ -187,73 +176,6 @@ func resizeQuads(m mask.Mask, width, group, subWidth int) int {
 	return c
 }
 
-// Cycles returns the number of execution-pipe cycles an instruction of the
-// given width and element group size occupies under the policy, for
-// execution mask m. The result is always at least 1. It reads the shared
-// cost table (costs.go), so it always agrees with CostAll.
-func (p Policy) Cycles(m mask.Mask, width, group int) int {
-	if w := tableCosts(m, width, group); w != 0 {
-		return w.cycles(p)
-	}
-	return p.referenceCycles(m, width, group)
-}
-
-// referenceCycles is the per-policy definition of the cost model: every
-// cost-table entry is filled from it, and shapes the table does not cover
-// are charged by it directly.
-func (p Policy) referenceCycles(m mask.Mask, width, group int) int {
-	m = m.Trunc(width)
-	full := mask.QuadCount(width, group)
-	if full < 1 {
-		full = 1
-	}
-	var c int
-	switch p {
-	case Baseline:
-		c = full
-	case IvyBridge:
-		c = full
-		if width == ivbWidth && full >= 2 && (m.UpperHalfOff(width) || m.LowerHalfOff(width)) {
-			c = full / 2
-		}
-	case BCC:
-		c = m.ActiveQuads(width, group)
-	case SCC:
-		c = m.OptimalCycles(width, group)
-	case Melding:
-		c = MeldingCycles(m, width, group)
-	case Resize:
-		return ResizeCycles(m, width, group, DefaultSubWarpWidth)
-	case ITS:
-		// Volta-style ITS interleaves divergent passes for progress and
-		// latency hiding but still issues each pass at full width.
-		c = full
-	default:
-		c = full
-	}
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
-// CostAll returns the execution cycles of all policies at once, indexed by
-// Policy. Used by the simulator's what-if accounting so a single functional
-// run yields EU-cycle totals for every policy.
-func CostAll(m mask.Mask, width, group int) [NumPolicies]int {
-	var out [NumPolicies]int
-	if w := tableCosts(m, width, group); w != 0 {
-		for p := range out {
-			out[p] = w.cycles(Policy(p))
-		}
-		return out
-	}
-	for _, p := range Policies {
-		out[p] = p.referenceCycles(m, width, group)
-	}
-	return out
-}
-
 // GroupFetches returns which aligned groups require an operand fetch and
 // writeback under the policy. Baseline and IvyBridge fetch every group they
 // execute; BCC fetches only non-empty groups (the half-register datapath of
@@ -262,8 +184,10 @@ func CostAll(m mask.Mask, width, group int) [NumPolicies]int {
 // paper §4.2). Melding fetches like BCC — this instruction's operands
 // cover its own active quads, the fused twin fetches its own. Resize
 // fetches every group of every issued sub-warp and nothing of the dead
-// ones; ITS, like the baseline, fetches everything.
+// ones; ITS, like the baseline, fetches everything. Lanes at or above
+// width are ignored.
 func (p Policy) GroupFetches(m mask.Mask, width, group int) []bool {
+	m = m.Trunc(width)
 	n := mask.QuadCount(width, group)
 	out := make([]bool, n)
 	switch p {
@@ -272,7 +196,6 @@ func (p Policy) GroupFetches(m mask.Mask, width, group int) []bool {
 			out[q] = m.Quad(q, group) != 0
 		}
 	case Resize:
-		m := m.Trunc(width)
 		eff := EffectiveSubWarp(group, DefaultSubWarpWidth)
 		for start := 0; start < width; start += eff {
 			lanes := eff
@@ -312,8 +235,10 @@ func (p Policy) GroupFetches(m mask.Mask, width, group int) []bool {
 // fetch under the policy and how many are suppressed — the tallies of
 // GroupFetches without materializing the per-group slice. The timed
 // engine's per-instruction energy accounting uses this closed form;
-// equality with GroupFetches is property-tested.
+// equality with GroupFetches is property-tested. Lanes at or above
+// width are ignored, as Cycles ignores them.
 func (p Policy) GroupFetchCounts(m mask.Mask, width, group int) (fetched, saved int) {
+	m = m.Trunc(width)
 	n := mask.QuadCount(width, group)
 	switch p {
 	case BCC, Melding:

@@ -246,6 +246,24 @@ func TestGroupFetchCountsMatchesGroupFetches(t *testing.T) {
 	}
 }
 
+// Lanes at or above the instruction width never fetch: at widths that
+// are not a multiple of the group, a high bit lands inside the last
+// group's mask and must still be ignored, as Cycles ignores it.
+func TestGroupFetchCountsIgnoreLanesAboveWidth(t *testing.T) {
+	for _, width := range []int{1, 4} {
+		for _, m := range []mask.Mask{0b10, 0b1110, 0x10, 0xF0, 0xFFFFFFF0, 0xFFFFFFFF, 0x80000000} {
+			for _, p := range Policies {
+				fetched, saved := p.GroupFetchCounts(m, width, 4)
+				wantF, wantS := p.GroupFetchCounts(m.Trunc(width), width, 4)
+				if fetched != wantF || saved != wantS {
+					t.Errorf("SIMD%d %s.GroupFetchCounts(%#x) = (%d, %d), want (%d, %d) as for the truncated mask",
+						width, p, uint32(m), fetched, saved, wantF, wantS)
+				}
+			}
+		}
+	}
+}
+
 func TestGroupFetchCountsZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		for _, p := range Policies {

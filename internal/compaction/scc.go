@@ -32,10 +32,8 @@ func (c CycleSetting) Swizzled(n int) bool {
 // sequence of per-cycle crossbar settings computed by the control logic of
 // paper Fig. 6.
 //
-// Schedules returned by ScheduleFor are shared and immutable; callers must
-// not modify Cycles. Schedules reused via ComputeScheduleInto own their
-// backing storage and are valid until the next ComputeScheduleInto on the
-// same value.
+// Schedules reused via ComputeScheduleInto own their backing storage and
+// are valid until the next ComputeScheduleInto on the same value.
 type Schedule struct {
 	Width  int
 	Group  int
@@ -46,21 +44,11 @@ type Schedule struct {
 	// ("skip empty quads, BCC-like. Done" in the paper's pseudo-code).
 	BCCOnly bool
 
-	// swizzles is the crossbar-slot count, tallied during construction so
-	// the timed engine's per-instruction energy accounting is a field read
-	// instead of a cycle walk. Swizzles() exposes it; SwizzleCount()
-	// recomputes it from the cycles for cross-checking.
-	swizzles int
-
 	// arena is the flat backing store the Cycles slices point into; it is
 	// reused across ComputeScheduleInto calls so steady-state schedule
 	// construction performs no heap allocation.
 	arena []LaneAssign
 }
-
-// Swizzles returns the number of crossbar-routed (cycle, lane) slots,
-// precomputed at construction. It always equals SwizzleCount().
-func (s *Schedule) Swizzles() int { return s.swizzles }
 
 // SwizzleCount returns the number of (cycle, lane) slots whose operand is
 // routed through the crossbar from a different lane position.
@@ -74,21 +62,6 @@ func (s *Schedule) SwizzleCount() int {
 		}
 	}
 	return n
-}
-
-// Unswizzle returns, for compressed cycle c, the inverse permutation used
-// by the writeback stage: for each ALU lane n that is enabled, the
-// destination (quad, lane) the result must be written back to. This is by
-// construction the source assignment itself — the inverse permutation of
-// the operand swizzle.
-func (s *Schedule) Unswizzle(c int) []LaneAssign {
-	return s.UnswizzleInto(nil, c)
-}
-
-// UnswizzleInto is Unswizzle writing into dst's backing array (grown as
-// needed), so repeated writeback-permutation queries are allocation-free.
-func (s *Schedule) UnswizzleInto(dst []LaneAssign, c int) []LaneAssign {
-	return append(dst[:0], s.Cycles[c]...)
 }
 
 // String renders the schedule for debugging, one line per cycle.
@@ -112,35 +85,6 @@ func (s *Schedule) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// SwizzleCount returns, in O(width) time and without building the full
-// schedule, the number of operands the Fig. 6 algorithm routes through
-// the crossbar for this mask: each ALU lane position serves its own
-// queue unswizzled once per cycle, so the swizzled remainder is
-// popcount − Σ_lanes min(queueLen, optimalCycles). Equality with
-// Schedule.SwizzleCount is property-tested.
-func SwizzleCount(m mask.Mask, width, group int) int {
-	m = m.Trunc(width)
-	opt := m.OptimalCycles(width, group)
-	if opt == 0 {
-		return 0
-	}
-	quads := mask.QuadCount(width, group)
-	unswizzled := 0
-	for n := 0; n < group; n++ {
-		cnt := 0
-		for q := 0; q < quads; q++ {
-			if m.Quad(q, group).Lane(n) {
-				cnt++
-			}
-		}
-		if cnt > opt {
-			cnt = opt
-		}
-		unswizzled += cnt
-	}
-	return m.PopCount() - unswizzled
 }
 
 // ComputeSchedule runs the SCC control algorithm of paper Fig. 6 for an
@@ -185,7 +129,7 @@ func ComputeScheduleInto(s *Schedule, m mask.Mask, width, group int) {
 	}
 
 	s.Width, s.Group, s.Mask = width, group, m
-	s.BCCOnly, s.swizzles = false, 0
+	s.BCCOnly = false
 	need := nCycles * group
 	if cap(s.arena) < need {
 		s.arena = make([]LaneAssign, need)
@@ -277,7 +221,6 @@ func ComputeScheduleInto(s *Schedule, m mask.Mask, width, group int) {
 					qHead[mIdx]++
 					surplus[mIdx]--
 					totSurplus--
-					s.swizzles++
 					continue
 				}
 			}

@@ -182,19 +182,15 @@ func TestComputeScheduleProperty(t *testing.T) {
 	}
 }
 
-// Property: the unswizzle permutation is the inverse of the swizzle — each
-// enabled writeback targets exactly the source element, and within a cycle
-// no two ALU lanes write the same destination.
+// Property: the writeback stage's unswizzle permutation is the inverse
+// of the operand swizzle, so it is well defined only if within a cycle no
+// two ALU lanes source (and so write back) the same element.
 func TestUnswizzleInverseProperty(t *testing.T) {
 	f := func(raw uint16) bool {
 		s := ComputeSchedule(mask.Mask(raw), 16, 4)
-		for c := range s.Cycles {
-			un := s.Unswizzle(c)
+		for _, cyc := range s.Cycles {
 			dests := map[[2]int8]bool{}
-			for n, a := range s.Cycles[c] {
-				if a.Enabled != un[n].Enabled || a.Quad != un[n].Quad || a.SrcLane != un[n].SrcLane {
-					return false
-				}
+			for _, a := range cyc {
 				if a.Enabled {
 					key := [2]int8{a.Quad, a.SrcLane}
 					if dests[key] {
@@ -211,7 +207,7 @@ func TestUnswizzleInverseProperty(t *testing.T) {
 	}
 }
 
-// The closed-form SwizzleCount must equal the constructed schedule's
+// The cost table's SwizzleCount must equal the constructed schedule's
 // swizzle count for every SIMD16 mask, and for random widths/groups.
 func TestSwizzleCountMatchesSchedule(t *testing.T) {
 	for raw := 0; raw <= 0xFFFF; raw++ {
@@ -245,24 +241,18 @@ func TestScheduleString(t *testing.T) {
 	}
 }
 
-// Property: UnswizzleInto reuses dst and returns the same permutation as
-// Unswizzle.
-func TestUnswizzleIntoMatchesUnswizzle(t *testing.T) {
-	var buf []LaneAssign
-	for _, raw := range []uint32{0xAAAA, 0x137F, 0x0001, 0xFFFF, 0} {
-		s := ComputeSchedule(mask.Mask(raw), 16, 4)
-		for c := range s.Cycles {
-			want := s.Unswizzle(c)
-			buf = s.UnswizzleInto(buf, c)
-			if len(buf) != len(want) {
-				t.Fatalf("mask %#x cycle %d: len %d, want %d", raw, c, len(buf), len(want))
-			}
-			for i := range want {
-				if buf[i] != want[i] {
-					t.Fatalf("mask %#x cycle %d lane %d: %+v, want %+v", raw, c, i, buf[i], want[i])
-				}
-			}
-		}
+// ComputeScheduleInto must reuse its backing storage: steady-state
+// construction performs zero heap allocations.
+func TestComputeScheduleIntoZeroAlloc(t *testing.T) {
+	var s Schedule
+	ComputeScheduleInto(&s, 0xFFFF, 16, 4) // warm the arena at max size
+	allocs := testing.AllocsPerRun(1000, func() {
+		ComputeScheduleInto(&s, 0xAAAA, 16, 4)
+		ComputeScheduleInto(&s, 0x137F, 16, 4)
+		ComputeScheduleInto(&s, 0x0001, 16, 4)
+	})
+	if allocs != 0 {
+		t.Fatalf("ComputeScheduleInto allocates %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -277,5 +267,13 @@ func BenchmarkComputeScheduleScattered(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ComputeSchedule(0xAAAA, 16, 4)
+	}
+}
+
+func BenchmarkComputeScheduleInto(b *testing.B) {
+	b.ReportAllocs()
+	var s Schedule
+	for i := 0; i < b.N; i++ {
+		ComputeScheduleInto(&s, mask.Mask(uint32(i)&0xFFFF)|1, 16, 4)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"intrawarp/internal/compaction"
 	"intrawarp/internal/isa"
 	"intrawarp/internal/mask"
+	"intrawarp/internal/memory"
 	"intrawarp/internal/stats"
 )
 
@@ -29,26 +30,57 @@ func divergentLoopProgram(iters uint32) isa.Program {
 }
 
 // timedAllocMasks gives every hardware thread a different divergence
-// pattern so the schedule cache, the fetch counters, and the swizzle
+// pattern so the cost table, the fetch counters, and the swizzle
 // accounting all stay exercised.
 var timedAllocMasks = []mask.Mask{0xAAAA, 0x5555, 0xF0F0, 0x137F, 0x8001, 0xFFFF}
 
 // TestTimedExecutionZeroAlloc is the tentpole regression test: once the
-// schedule cache and all scratch buffers are warm, a full timed simulation
+// cost table and all scratch buffers are warm, a full timed simulation
 // of a divergent cached-mask instruction stream must perform zero heap
 // allocations — with the observability layer compiled in but disabled.
 // Every probe site in the EU is nil-guarded; this test proves the
 // disabled fast path builds no event values and boxes no interfaces.
 func TestTimedExecutionZeroAlloc(t *testing.T) {
-	p := divergentLoopProgram(24)
 	e, sys := newTestEU(compaction.SCC)
 	e.Cfg.Arbiter = ArbiterAgeBased // cover the sorting arbiter too
 	if e.probe != nil {
 		t.Fatal("test requires the probes-disabled configuration")
 	}
-	run := stats.NewRun("alloc", 16)
+	simulate := timedAllocRun(t, e, sys, stats.NewRun("alloc", 16))
+	simulate() // warm up: fills the cost table and grows scratch
+	if allocs := testing.AllocsPerRun(10, simulate); allocs != 0 {
+		t.Fatalf("steady-state timed execution allocates %.1f times per run, want 0", allocs)
+	}
+}
 
-	simulate := func() {
+// TestTimedSCCScheduleRebuildZeroAlloc attaches a counting no-op probe,
+// so emitQuads rebuilds every SCC crossbar schedule, and turns on
+// ValidateSCC, so validateSCCSchedule rebuilds it again: once the EU's
+// scratch schedule has grown, neither rebuild allocates.
+func TestTimedSCCScheduleRebuildZeroAlloc(t *testing.T) {
+	probe := &countingProbe{}
+	sys := memory.NewSystem(memory.DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.Policy = compaction.SCC
+	cfg.ValidateSCC = true
+	cfg.Probe = probe
+	e := New(0, cfg, sys)
+	run := stats.NewRun("alloc", 16)
+	simulate := timedAllocRun(t, e, sys, run)
+	simulate() // warm up: fills the cost table and grows the scratch schedule
+	if allocs := testing.AllocsPerRun(10, simulate); allocs != 0 {
+		t.Fatalf("timed SCC execution with schedule rebuilds allocates %.1f times per run, want 0", allocs)
+	}
+	if probe.quads == 0 || run.CrossbarOps == 0 {
+		t.Fatalf("no schedule was rebuilt or swizzled: %d quad events, %d crossbar ops", probe.quads, run.CrossbarOps)
+	}
+}
+
+// timedAllocRun returns a closure that runs the divergent ALU kernel to
+// completion on e, each thread under its own mask from timedAllocMasks.
+func timedAllocRun(t *testing.T, e *EU, sys *memory.System, run *stats.Run) func() {
+	p := divergentLoopProgram(24)
+	return func() {
 		for ti, th := range e.Threads {
 			th.Reset(p, 16, 0xFFFF)
 			th.Active = timedAllocMasks[ti%len(timedAllocMasks)]
@@ -65,11 +97,6 @@ func TestTimedExecutionZeroAlloc(t *testing.T) {
 				t.Fatal("EU did not quiesce")
 			}
 		}
-	}
-
-	simulate() // warm up: fills the schedule cache and grows scratch
-	if allocs := testing.AllocsPerRun(10, simulate); allocs != 0 {
-		t.Fatalf("steady-state timed execution allocates %.1f times per run, want 0", allocs)
 	}
 }
 

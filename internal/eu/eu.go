@@ -133,6 +133,11 @@ type EU struct {
 
 	// probe mirrors Cfg.Probe; nil disables instrumentation.
 	probe obs.Probe
+
+	// sched is the scratch SCC schedule emitQuads and validateSCCSchedule
+	// rebuild each instruction's crossbar settings into, so the rebuilds
+	// allocate nothing once it has grown.
+	sched compaction.Schedule
 }
 
 // New creates an EU with idle threads attached to the given memory system.
@@ -331,9 +336,10 @@ func (e *EU) issue(ti int, now int64) {
 
 	switch res.Pipe {
 	case isa.PipeFPU, isa.PipeEM:
-		cycles := int64(e.Cfg.Policy.Cycles(res.Mask, res.Width, res.Group))
-		if e.Cfg.ValidateSCC && e.Cfg.Policy == compaction.SCC {
-			validateSCCSchedule(res, cycles)
+		c, swz := e.Cfg.Policy.Price(res.Mask, res.Width, res.Group)
+		cycles := int64(c)
+		if e.Cfg.Policy == compaction.SCC && e.Cfg.ValidateSCC {
+			e.validateSCCSchedule(res, cycles, swz)
 		}
 		start := now
 		if e.pipeFree[res.Pipe] > start {
@@ -355,9 +361,7 @@ func (e *EU) issue(ti int, now int64) {
 			if saved > 0 {
 				th.Stats.OperandFetchesSaved += int64(saved * ops)
 			}
-			if e.Cfg.Policy == compaction.SCC {
-				th.Stats.CrossbarOps += int64(compaction.ScheduleFor(res.Mask, res.Width, res.Group).Swizzles() * ops)
-			}
+			th.Stats.CrossbarOps += int64(swz * ops)
 		}
 
 		if e.probe != nil {
@@ -367,10 +371,6 @@ func (e *EU) issue(ti int, now int64) {
 				Active: res.Mask.Trunc(res.Width).PopCount(), Width: res.Width,
 			})
 			full := mask.QuadCount(res.Width, res.Group)
-			swz := 0
-			if e.Cfg.Policy == compaction.SCC {
-				swz = compaction.ScheduleFor(res.Mask, res.Width, res.Group).Swizzles()
-			}
 			e.probe.CompactionDecision(obs.CompactionEvent{
 				EU: e.ID, Thread: ti, Cycle: now, Policy: e.Cfg.Policy.String(),
 				Mask: uint32(res.Mask.Trunc(res.Width)), Width: res.Width, Group: res.Group,
@@ -445,8 +445,8 @@ func (e *EU) issue(ti int, now int64) {
 // instruction (obs.QuadEvent per execution cycle). It rebuilds each
 // policy's schedule independently of the cost table and panics if the
 // schedule length differs from the charged occupancy. Only called with a
-// probe attached; allocates nothing except under SCC, where the crossbar
-// schedule is materialized.
+// probe attached; under SCC the crossbar schedule is rebuilt into the
+// EU's scratch schedule, so nothing is allocated.
 func (e *EU) emitQuads(ti int, res ExecResult, start, charged int64) {
 	m := res.Mask.Trunc(res.Width)
 	n := mask.QuadCount(res.Width, res.Group)
@@ -458,8 +458,8 @@ func (e *EU) emitQuads(ti int, res ExecResult, start, charged int64) {
 	quad := func(q int) uint32 { return uint32(m.Quad(q, res.Group)) << uint(q*res.Group) }
 	switch e.Cfg.Policy {
 	case compaction.SCC:
-		s := compaction.ScheduleFor(m, res.Width, res.Group)
-		for _, cyc := range s.Cycles {
+		compaction.ComputeScheduleInto(&e.sched, m, res.Width, res.Group)
+		for _, cyc := range e.sched.Cycles {
 			var lanes uint32
 			for _, a := range cyc {
 				if a.Enabled {
@@ -588,13 +588,19 @@ func (e *EU) getComp(ti int) *sendComp {
 }
 
 // validateSCCSchedule rebuilds the crossbar schedule the SCC control
-// logic would emit for this instruction and asserts it is consistent with
-// the charged pipe occupancy (see Config.ValidateSCC).
-func validateSCCSchedule(res ExecResult, charged int64) {
-	s := compaction.ScheduleFor(res.Mask, res.Width, res.Group)
+// logic would emit for this instruction into the EU's scratch schedule
+// and asserts it is consistent with the charged pipe occupancy and
+// crossbar count (see Config.ValidateSCC).
+func (e *EU) validateSCCSchedule(res ExecResult, charged int64, swizzles int) {
+	s := &e.sched
+	compaction.ComputeScheduleInto(s, res.Mask, res.Width, res.Group)
 	if int64(len(s.Cycles)) != charged {
 		panic(fmt.Sprintf("eu: SCC schedule/%s has %d cycles but %d were charged (mask %#x)",
 			res.Instr.Op, len(s.Cycles), charged, uint32(res.Mask)))
+	}
+	if n := s.SwizzleCount(); n != swizzles {
+		panic(fmt.Sprintf("eu: SCC schedule/%s routes %d operands through the crossbar but %d were charged (mask %#x)",
+			res.Instr.Op, n, swizzles, uint32(res.Mask)))
 	}
 	// Track issued lanes as a bitmask: count+membership alone cannot see
 	// a schedule that executes one element twice while dropping another.

@@ -103,8 +103,8 @@ type GroupSpec struct {
 	SkipVerify bool
 	// Verify additionally streams every executed instruction through the
 	// independent oracle model (internal/oracle), checking per-record
-	// cost exactness, the cycle ladder, and SCC schedule soundness —
-	// including the memoized schedule cache the timed engine shares.
+	// cost exactness, the cycle ladder, SCC schedule soundness, and the
+	// cost table's swizzle count the timed engine charges.
 	Verify bool
 }
 

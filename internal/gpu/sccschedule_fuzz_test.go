@@ -13,10 +13,10 @@ import (
 // masks: every schedule must take exactly max(1, ceil(popcount/group))
 // cycles — the bound the paper's cycle-compression argument rests on —
 // and must execute each active element exactly once from a position the
-// mask really enables. The policy cost models and the O(width) swizzle
-// counter are checked against both the materialized schedule and the
-// independent oracle (internal/oracle), since the simulator's hot paths
-// use closed forms instead of building schedules.
+// mask really enables. The policy cost models and the cost table's
+// swizzle count are checked against both the materialized schedule and
+// the independent oracle (internal/oracle), since the simulator's hot
+// paths read the cost table instead of building schedules.
 //
 // The seed tuple is (bits, widthIndex, groupIndex): the fuzz body maps
 // widthIn through widths[widthIn%4] and groupIn through groups[groupIn%3],
@@ -120,16 +120,15 @@ func FuzzSCCSchedule(f *testing.F) {
 			}
 		}
 
-		// The fast path must agree with the materialized schedule and the
-		// oracle's Fig. 6 surplus formula, and a BCC-only schedule must
-		// never engage the crossbar.
-		if fast, slow := compaction.SwizzleCount(m, width, group), sched.SwizzleCount(); fast != slow {
-			t.Fatalf("mask %#x width=%d group=%d: SwizzleCount fast path %d != schedule %d",
-				bits, width, group, fast, slow)
-		}
-		if want := oracle.SCCSwizzles(uint32(m), width, group); sched.SwizzleCount() != want {
-			t.Fatalf("mask %#x width=%d group=%d: schedule swizzles %d operands, oracle says %d",
-				bits, width, group, sched.SwizzleCount(), want)
+		// The cost table's swizzle count must agree with the materialized
+		// schedule's recount and with the oracle's Fig. 6 surplus formula,
+		// and a BCC-only schedule must never engage the crossbar.
+		table := compaction.SwizzleCount(m, width, group)
+		recount := sched.SwizzleCount()
+		want := oracle.SCCSwizzles(uint32(m), width, group)
+		if table != recount || recount != want {
+			t.Fatalf("mask %#x width=%d group=%d: cost-table SwizzleCount %d, schedule recount %d, oracle %d",
+				bits, width, group, table, recount, want)
 		}
 		if sched.BCCOnly && sched.SwizzleCount() != 0 {
 			t.Fatalf("mask %#x: BCC-only schedule swizzles\n%s", bits, sched)

@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -308,5 +311,85 @@ func TestCacheHitsByteIdenticalAcrossServers(t *testing.T) {
 		if !bytes.Equal(hits[i], fresh1) {
 			t.Errorf("client %d: cached bytes differ from the fresh run", i)
 		}
+	}
+}
+
+// TestFlightPanicBecomes500 runs a flight whose computation panics, as an
+// engine assertion would: every coalesced waiter gets a 500 internal
+// envelope under its own trace id, the panic is counted and nothing is
+// cached, a retry re-executes, and the server keeps serving.
+func TestFlightPanicBecomes500(t *testing.T) {
+	api, ts := newTestServer(t, Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	release := make(chan struct{})
+	var calls atomic.Int32
+	api.mux.HandleFunc("POST /test/panic", func(w http.ResponseWriter, r *http.Request) {
+		api.serveCached(w, r, startTrace(r), "panic", "panic-key", func(context.Context) (*response, error) {
+			if calls.Add(1) == 1 {
+				<-release
+				panic("eu: SCC schedule has 3 cycles but 2 were charged")
+			}
+			return &response{status: http.StatusOK, body: []byte(`{"ok":true}`)}, nil
+		})
+	})
+	send := func(id string) (*http.Response, []byte) {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/test/panic", nil)
+		req.Header.Set("X-Trace-Id", id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Errorf("POST /test/panic: %v", err)
+			return nil, nil
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		return resp, data
+	}
+
+	ids := []string{"panic-waiter-1", "panic-waiter-2"}
+	var wg sync.WaitGroup
+	resps := make([]*http.Response, len(ids))
+	bodies := make([][]byte, len(ids))
+	for i, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[i], bodies[i] = send(id)
+		}()
+		if i == 0 {
+			waitMetrics(t, ts, 5*time.Second, func(m map[string]int64) bool { return m["in_flight"] == 1 })
+		}
+	}
+	waitMetrics(t, ts, 5*time.Second, func(m map[string]int64) bool { return m["coalesced_total"] == 1 })
+	close(release)
+	wg.Wait()
+	for i, resp := range resps {
+		if resp == nil {
+			t.FailNow()
+		}
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("waiter %d: status %d, want 500 (%s)", i, resp.StatusCode, bodies[i])
+		}
+		if got := resp.Header.Get("X-Trace-Id"); got != ids[i] {
+			t.Errorf("waiter %d: X-Trace-Id %q, want %q", i, got, ids[i])
+		}
+		var env errorEnvelope
+		if err := json.Unmarshal(bodies[i], &env); err != nil || env.Error.Code != "internal" ||
+			!strings.Contains(env.Error.Message, "panicked") {
+			t.Errorf("waiter %d: body %s is not an internal error envelope naming the panic", i, bodies[i])
+		}
+	}
+	m := scrapeMetrics(t, ts)
+	if m["panics_total"] != 1 || m["in_flight"] != 0 || m["cache_entries"] != 0 {
+		t.Errorf("after the panic: panics_total %d (want 1), in_flight %d (want 0), cache_entries %d (want 0)",
+			m["panics_total"], m["in_flight"], m["cache_entries"])
+	}
+
+	if resp, data := send("panic-retry"); resp == nil || resp.StatusCode != http.StatusOK || string(data) != `{"ok":true}` {
+		t.Fatalf("retry after the panic: %v %s, want 200", resp, data)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Errorf("computation ran %d times, want 2: the retry must re-execute, not reuse the panic", n)
+	}
+	if resp, data := post(t, ts, "/v1/run", `{"workload":"bsearch","size":64}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("server stopped serving after a panic: %d %s", resp.StatusCode, data)
 	}
 }

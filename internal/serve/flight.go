@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 )
 
@@ -35,10 +37,13 @@ type flight struct {
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flight
+	// onPanic is told of every panic a flight's computation raised and
+	// run recovered, with the goroutine's stack.
+	onPanic func(v any, stack []byte)
 }
 
-func newFlightGroup() *flightGroup {
-	return &flightGroup{m: map[string]*flight{}}
+func newFlightGroup(onPanic func(v any, stack []byte)) *flightGroup {
+	return &flightGroup{m: map[string]*flight{}, onPanic: onPanic}
 }
 
 // join returns the flight for key, creating it if none is in progress.
@@ -77,12 +82,20 @@ func (g *flightGroup) leave(key string, f *flight) {
 
 // run executes fn, publishes its result, and retires the flight so a
 // later identical request starts fresh (a successful result will be in
-// the response cache by then).
+// the response cache by then). A panic in fn — an engine assertion, say
+// — would otherwise kill the process: run recovers it into the flight's
+// error, so every waiter answers 500 and nothing is cached.
 func (g *flightGroup) run(key string, f *flight, fn func() (*response, error)) {
+	defer func() {
+		if v := recover(); v != nil {
+			g.onPanic(v, debug.Stack())
+			f.result, f.err = nil, fmt.Errorf("simulation panicked: %v", v)
+		}
+		g.mu.Lock()
+		delete(g.m, key)
+		g.mu.Unlock()
+		f.cancel()
+		close(f.done)
+	}()
 	f.result, f.err = fn()
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	f.cancel()
-	close(f.done)
 }

@@ -22,6 +22,7 @@ type metrics struct {
 	rejected   atomic.Int64 // 429s from the admission queue
 	cancelled  atomic.Int64 // runs stopped by cancellation
 	errors     atomic.Int64 // non-cancellation simulation failures
+	panics     atomic.Int64 // flights whose computation panicked (answered 500)
 	queueDepth atomic.Int64 // requests waiting for a run slot
 	inFlight   atomic.Int64 // simulations holding a run slot
 
@@ -79,6 +80,7 @@ func (m *metrics) render(w io.Writer, cacheLen int) {
 	counter("rejected_total", "requests rejected by the bounded admission queue", m.rejected.Load())
 	counter("cancelled_total", "simulations stopped by cancellation", m.cancelled.Load())
 	counter("errors_total", "simulations that failed", m.errors.Load())
+	counter("panics_total", "simulations that panicked, recovered and answered with a 500", m.panics.Load())
 	counter("sweeps_total", "sweep requests accepted", m.sweeps.Load())
 	counter("sweep_cells_total", "sweep cells served as result lines", m.sweepCells.Load())
 	counter("sweep_executions_total", "functional executions for sweep groups", m.sweepExecutions.Load())

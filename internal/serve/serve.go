@@ -112,18 +112,18 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	base, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:     cfg,
-		mux:     http.NewServeMux(),
-		cache:   newCache(cfg.CacheEntries),
-		flights: newFlightGroup(),
-		slots:   make(chan struct{}, cfg.Concurrency),
-		log:     cfg.Logger,
-		base:    base,
-		cancel:  cancel,
+		cfg:    cfg,
+		mux:    http.NewServeMux(),
+		cache:  newCache(cfg.CacheEntries),
+		slots:  make(chan struct{}, cfg.Concurrency),
+		log:    cfg.Logger,
+		base:   base,
+		cancel: cancel,
 	}
 	if s.log == nil {
 		s.log = slog.Default()
 	}
+	s.flights = newFlightGroup(s.flightPanicked)
 	s.met.init()
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
 	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
@@ -136,6 +136,13 @@ func New(cfg Config) *Server {
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+
+// flightPanicked counts and logs a panic recovered from a flight.
+func (s *Server) flightPanicked(v any, stack []byte) {
+	s.met.panics.Add(1)
+	s.log.LogAttrs(context.Background(), slog.LevelError, "simulation panicked",
+		slog.Any("panic", v), slog.String("stack", string(stack)))
+}
 
 // Close cancels the server's base context: every in-flight simulation
 // stops at its next cancellation point. Call after http.Server.Shutdown

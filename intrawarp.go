@@ -193,15 +193,6 @@ func ComputeSchedule(m Mask, width, group int) *Schedule {
 	return compaction.ComputeSchedule(m, width, group)
 }
 
-// ScheduleFor returns the interned SCC schedule for the mask: repeated
-// lookups of the same (mask, width, group) return the same immutable
-// *Schedule without recomputing it. This is what the timed simulator uses
-// on its hot path; prefer it over ComputeSchedule unless a private copy
-// is required.
-func ScheduleFor(m Mask, width, group int) *Schedule {
-	return compaction.ScheduleFor(m, width, group)
-}
-
 // Workloads returns the registered benchmark suite.
 func Workloads() []*Workload { return workloads.All() }
 
