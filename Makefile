@@ -15,26 +15,33 @@ build:
 vet:
 	$(GO) vet ./...
 
+# fmt fails when any tracked Go file (perfbench/ included) is not
+# gofmt-clean, listing the offenders.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
 test:
 	$(GO) test ./...
 
 # The race runs include a pass with the statsguard build tag, which arms
 # the stats.Run single-writer ownership assertion (internal/stats). The
 # guard resolves the writing goroutine's id via runtime.Stack on every
-# record, so the tagged pass is scoped to the engine packages that
-# exercise shard ownership rather than the whole experiment suite.
+# record, so the tagged pass is scoped to the engine, worker-pool and
+# serve packages rather than the whole experiment suite.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -tags statsguard ./internal/stats/ ./internal/gpu/ ./internal/workloads/ ./internal/par/ ./internal/serve/
 
-.PHONY: build vet test race check bench verify fuzz-smoke timeline-smoke sweep-smoke corpus
+.PHONY: build vet fmt test race check bench verify fuzz-smoke timeline-smoke sweep-smoke corpus
 
-check: build vet test race
+check: build vet fmt test race
 
 # verify runs the differential verification harness (DESIGN.md §10):
 # every workload at quick sizes, each captured instruction checked
-# against the independent oracle, and the serial, parallel, trace-replay
-# and timed engines (all seven policies) cross-checked bit for bit.
+# against the independent oracle, and the functional run, its offline
+# trace analysis and the timed engine (all seven policies) cross-checked
+# bit for bit.
 verify:
 	$(GO) run ./cmd/simd-verify -quick -timed
 
@@ -48,8 +55,8 @@ fuzz-smoke:
 
 # corpus runs the seeded kernel corpus through the full differential
 # pipeline: every generated kernel checked against its straight-line
-# evaluator on the serial engine, then cross-checked on the parallel,
-# trace-replay, and timed engines under all seven compaction policies
+# evaluator on the functional engine, then cross-checked by the offline
+# trace analyzer and on the timed engine under all seven compaction policies
 # (docs/corpus.md). The pinned seed makes the run — including the
 # printed digest over every encoded program and its expected outputs —
 # byte-for-byte reproducible; CI pins a smaller count. On divergence

@@ -214,26 +214,6 @@ func BenchmarkParallelSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelFunctional measures workgroup-sharding scaling of the
-// parallel functional engine on one large launch.
-func BenchmarkParallelFunctional(b *testing.B) {
-	w, err := workloads.ByName("bsearch")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g := gpu.New(gpu.DefaultConfig().WithWorkers(workers))
-				if _, err := workloads.ExecuteOpts(g, w, workloads.ExecOptions{Size: 8192}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkTraceAnalyze measures trace replay speed.
 func BenchmarkTraceAnalyze(b *testing.B) {
 	p := trace.SynthByName("bulletphysics")

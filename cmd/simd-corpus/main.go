@@ -6,11 +6,10 @@
 // By default each kernel is generated, validated, and digested together
 // with its evaluator-derived expected outputs. With -verify every
 // kernel additionally runs through the full differential pipeline —
-// serial vs. evaluator, per-record oracle invariants, offline replay,
-// parallel engine, and the timed engine under all seven compaction
-// policies — aborting at the first divergence with a minimized,
-// paste-ready repro (optionally written to -emit-worst for CI
-// artifacts).
+// functional engine vs. evaluator, per-record oracle invariants, offline
+// replay, and the timed engine under all seven compaction policies —
+// aborting at the first divergence with a minimized, paste-ready repro
+// (optionally written to -emit-worst for CI artifacts).
 //
 // Usage:
 //
@@ -46,7 +45,6 @@ func main() {
 		profile   = flag.String("profile", "all", "generator profile, comma-separated list, or \"all\"")
 		verify    = flag.Bool("verify", false, "run every kernel through the full differential pipeline (all engines x all policies)")
 		emitWorst = flag.String("emit-worst", "", "on divergence, write the minimized repro test to this file")
-		workers   = flag.Int("workers", 0, "parallel-engine pool size during -verify (<2 selects 4)")
 		engine    = flag.String("engine", "event", "timed core during -verify: event or tick")
 	)
 	flag.Parse()
@@ -103,9 +101,8 @@ func main() {
 			Profile: prof, Seed: *seed, Lo: 0, Hi: n,
 			Oracle: oracle.Options{
 				Timed:   true,
-				Workers: *workers,
 				Engine:  eng,
-				Observe: func(_ *workloads.Spec, serial *stats.Run) { instrs += serial.Instructions },
+				Observe: func(_ *workloads.Spec, run *stats.Run) { instrs += run.Instructions },
 			},
 		})
 		if err != nil {
@@ -125,10 +122,10 @@ func main() {
 	}
 
 	// The deterministic report. With -verify the instruction total comes
-	// from the serial engine, which is itself deterministic.
+	// from the functional engine, which is itself deterministic.
 	fmt.Printf("corpus seed=%d profiles=%s kernels=%d\n", *seed, strings.Join(profiles, ","), kernels)
 	if *verify {
-		fmt.Printf("verified engines=serial,parallel,trace-replay,timed policies=all instructions=%d records=%d\n",
+		fmt.Printf("verified engines=functional,trace-replay,timed policies=all instructions=%d records=%d\n",
 			instrs, records)
 	}
 	fmt.Printf("digest sha256=%x\n", digest.Sum(nil))

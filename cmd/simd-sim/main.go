@@ -5,7 +5,7 @@
 //
 //	simd-sim -list
 //	simd-sim -workload bfs [-policy scc] [-n 1024] [-dc 2] [-perfect-l3]
-//	         [-functional] [-workers 4] [-disasm]
+//	         [-functional] [-disasm]
 //	simd-sim -workload bfs -compare -timeline bfs.json
 //
 // -timeline captures a Chrome-trace/Perfetto timeline of the run (one
@@ -33,7 +33,6 @@ func main() {
 		dc         = flag.Int("dc", 1, "data-cluster bandwidth in lines/cycle (paper DC1=1, DC2=2)")
 		perfectL3  = flag.Bool("perfect-l3", false, "model a perfect (always-hit) L3")
 		functional = flag.Bool("functional", false, "functional-only run (no timing)")
-		workers    = flag.Int("workers", 0, "functional-engine worker pool size (0 = GOMAXPROCS)")
 		compare    = flag.Bool("compare", false, "run all seven policies and compare timing")
 		jsonOut    = flag.Bool("json", false, "emit the run report as JSON")
 		timeline   = flag.String("timeline", "", "write a Chrome-trace/Perfetto timeline to this file")
@@ -98,7 +97,6 @@ func main() {
 			intrawarp.WithPolicy(p),
 			intrawarp.WithEngine(engine),
 			intrawarp.WithDCBandwidth(*dc),
-			intrawarp.WithWorkers(*workers),
 		}
 		if *perfectL3 {
 			opts = append(opts, intrawarp.WithPerfectL3())

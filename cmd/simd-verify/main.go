@@ -1,12 +1,11 @@
 // Command simd-verify runs the differential verification harness: every
-// selected workload is executed under the serial functional engine with
-// trace capture, each captured instruction is checked against the
-// independent oracle (cycle models of all seven policies, SCC schedule
-// invariants, fetch accounting), and the run is then replayed through
-// the offline analyzer, the parallel engine, and — with -timed — the
-// cycle-level engine under every policy, all of which must agree
-// bit-for-bit. The first divergence stops the run and prints a
-// minimized repro as a paste-ready Go test.
+// selected workload is executed under the functional engine with trace
+// capture, each captured instruction is checked against the independent
+// oracle (cycle models of all seven policies, SCC schedule invariants,
+// fetch accounting), and the run is then replayed through the offline
+// analyzer and — with -timed — the cycle-level engine under every
+// policy, all of which must agree bit-for-bit. The first divergence
+// stops the run and prints a minimized repro as a paste-ready Go test.
 //
 // Usage:
 //
@@ -33,7 +32,6 @@ func main() {
 		quick   = flag.Bool("quick", false, "shrink problem sizes to the quick sweep set")
 		names   = flag.String("workloads", "", "comma-separated workload subset (default: all)")
 		timed   = flag.Bool("timed", false, "also cross-check the cycle-level engine under every policy")
-		workers = flag.Int("workers", 0, "parallel-engine pool size (<2 selects 4)")
 		engine  = flag.String("engine", "event", "timed core to verify: event or tick")
 		verbose = flag.Bool("v", false, "print one line per verified workload")
 	)
@@ -43,7 +41,7 @@ func main() {
 	if err != nil {
 		fatal("simd-verify: %v", err)
 	}
-	opts := oracle.Options{Quick: *quick, Timed: *timed, Workers: *workers, Engine: eng}
+	opts := oracle.Options{Quick: *quick, Timed: *timed, Engine: eng}
 	if *verbose {
 		opts.Progress = os.Stdout
 	}

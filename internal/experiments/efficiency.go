@@ -33,9 +33,8 @@ func workloadRuns(ctx context.Context, quick bool, workers int) (sim, traces []*
 	sim = make([]*stats.Run, len(all))
 	if err := par.ForErr(workers, len(all), func(i int) error {
 		s := all[i]
-		// Each cell owns a private GPU; keep its functional engine serial
-		// so parallelism lives at the cell level, not nested below it.
-		g := gpu.New(gpu.DefaultConfig().WithWorkers(1))
+		// Each cell owns a private GPU: parallelism lives at the cell level.
+		g := gpu.New(gpu.DefaultConfig())
 		n := 0
 		if quick {
 			n = quickScale(s)

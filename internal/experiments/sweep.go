@@ -128,7 +128,7 @@ func ExecuteGroup(ctx context.Context, gs GroupSpec) (*GroupResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := gpu.DefaultConfig().WithWorkers(1)
+	cfg := gpu.DefaultConfig()
 	if gs.DCLinesPerCycle > 0 {
 		cfg.Mem.DCLinesPerCycle = gs.DCLinesPerCycle
 	}

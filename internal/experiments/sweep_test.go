@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"intrawarp/internal/compaction"
-	"intrawarp/internal/eu"
 	"intrawarp/internal/gpu"
 	"intrawarp/internal/kgen"
 	"intrawarp/internal/obs"
@@ -22,13 +21,13 @@ var sweepSet = []string{"bfs", "bsearch", "urng"}
 
 // freshRun is the per-cell path: one full functional execution of the
 // workload under the given policy's machine configuration.
-func freshRun(t testing.TB, name string, p compaction.Policy, size, workers int) *stats.Run {
+func freshRun(t testing.TB, name string, p compaction.Policy, size int) *stats.Run {
 	t.Helper()
 	spec, err := workloads.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := gpu.DefaultConfig().WithPolicy(p).WithWorkers(workers)
+	cfg := gpu.DefaultConfig().WithPolicy(p)
 	run, err := workloads.ExecuteCtx(context.Background(), gpu.New(cfg), spec, workloads.ExecOptions{Size: size})
 	if err != nil {
 		t.Fatal(err)
@@ -52,11 +51,8 @@ func TestSweepSingleExecutionPerWorkload(t *testing.T) {
 		}
 		cfg := gpu.DefaultConfig()
 		cfg.EU.Probe = base
-		// A visitor forces the serial functional engine, matching the
-		// sweep's one-worker executions.
-		noop := func(int, int, eu.ExecResult) {}
 		_, err = workloads.ExecuteCtx(context.Background(), gpu.New(cfg), spec,
-			workloads.ExecOptions{Size: workloads.QuickSize(spec), Visit: noop})
+			workloads.ExecOptions{Size: workloads.QuickSize(spec)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,9 +71,6 @@ func TestSweepSingleExecutionPerWorkload(t *testing.T) {
 
 	if got, want := counts.Launches("functional"), base.Launches("functional"); got != want {
 		t.Errorf("sweep performed %d functional launches, want %d (one execution per workload)", got, want)
-	}
-	if n := counts.Launches("functional-parallel"); n != 0 {
-		t.Errorf("sweep performed %d parallel functional launches, want 0 (groups run on one worker)", n)
 	}
 	if n := counts.Launches("trace-replay"); n != 0 {
 		t.Errorf("sweep performed %d trace replays, want 0", n)
@@ -111,7 +104,7 @@ func TestSweepReplayMatchesFreshExecution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh := freshRun(t, res.Cell.Workload, res.Cell.Policy, workloads.QuickSize(spec), 0)
+		fresh := freshRun(t, res.Cell.Workload, res.Cell.Policy, workloads.QuickSize(spec))
 		got, err := json.Marshal(res.Run.Report())
 		if err != nil {
 			t.Fatal(err)
@@ -347,7 +340,7 @@ func BenchmarkSweepGridExecute(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, p := range compaction.Policies {
-				freshRun(b, name, p, workloads.QuickSize(spec), 1)
+				freshRun(b, name, p, workloads.QuickSize(spec))
 			}
 		}
 	}

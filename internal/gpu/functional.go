@@ -8,7 +8,6 @@ import (
 	"intrawarp/internal/isa"
 	"intrawarp/internal/memory"
 	"intrawarp/internal/obs"
-	"intrawarp/internal/par"
 	"intrawarp/internal/stats"
 )
 
@@ -26,7 +25,7 @@ type InstrVisitor func(wg, thread int, res eu.ExecResult)
 //
 // A non-nil probe receives per-instruction obs events. The functional
 // engine has no clock; instruction indices stand in for cycles, offset by
-// stepBase so a serial run's event stream is monotonic across workgroups.
+// stepBase so the event stream is monotonic across workgroups.
 // The executed step count is returned for that accumulation.
 func (g *GPU) runWorkgroup(pool []*eu.Thread, slm *memory.SLM, spec *LaunchSpec, wg int, run *stats.Run, visit InstrVisitor, probe obs.Probe, stepBase int64) (int64, error) {
 	const maxSteps = 1 << 32
@@ -100,115 +99,48 @@ func (g *GPU) runWorkgroup(pool []*eu.Thread, slm *memory.SLM, spec *LaunchSpec,
 // and what-if compaction accounting. This is the fast path used for trace
 // collection and EU-cycle-only experiments (Figs. 3, 9, 10).
 //
-// Workgroups are independent (the NDRange model forbids cross-workgroup
-// synchronization within a launch), so they are sharded across a worker
-// pool of Config.Workers goroutines (default runtime.GOMAXPROCS). Each
-// workgroup accumulates into a private stats.Run shard; shards are merged
-// in ascending workgroup order, so a parallel run produces statistics
-// bit-identical to a serial one (see DESIGN.md §7). A non-nil visit
-// forces serial execution: trace capture needs the exact serial
-// interleaving of the record stream.
+// Workgroups run one after another on one thread-context pool and one
+// scratchpad, all accumulating directly into the returned run. Host
+// parallelism lives a level up, across independent runs (DESIGN.md §7).
 func (g *GPU) RunFunctional(spec LaunchSpec, visit InstrVisitor) (*stats.Run, error) {
 	return g.RunFunctionalCtx(context.Background(), spec, visit)
 }
 
 // RunFunctionalCtx is RunFunctional with cancellation: ctx is checked at
-// workgroup granularity, so when it is cancelled every in-flight
-// workgroup finishes, no further workgroup starts, and ctx.Err() is
-// returned. Which workgroups completed before the cut is
-// scheduling-dependent, but the error is not: a cancelled run never
-// returns partial statistics.
+// workgroup granularity, so when it is cancelled the in-flight workgroup
+// finishes, no further workgroup starts, and ctx.Err() is returned. A
+// cancelled run never returns partial statistics.
 func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit InstrVisitor) (*stats.Run, error) {
 	threadsPerWG, numWGs, err := spec.validate(g.Cfg)
 	if err != nil {
 		return nil, err
 	}
 	run := stats.NewRun(spec.Kernel.Name, spec.Kernel.Width.Lanes())
-
-	workers := par.Workers(g.Cfg.Workers)
-	if workers > numWGs {
-		workers = numWGs
-	}
 	probe := g.Cfg.EU.Probe
-	if visit != nil || workers <= 1 {
-		// Serial path: one thread-context pool and scratchpad, reused
-		// across workgroups, all accumulating directly into run.
-		if probe != nil {
-			probe.LaunchBegin(obs.LaunchEvent{
-				Engine: "functional", Kernel: spec.Kernel.Name,
-				Policy: g.Cfg.EU.Policy.String(), Width: spec.Kernel.Width.Lanes(),
-			})
-		}
-		pool := make([]*eu.Thread, threadsPerWG)
-		for i := range pool {
-			pool[i] = &eu.Thread{}
-		}
-		slm := g.newSLM()
-		var steps int64
-		for wg := 0; wg < numWGs; wg++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			n, err := g.runWorkgroup(pool, slm, &spec, wg, run, visit, probe, steps)
-			if err != nil {
-				return nil, err
-			}
-			steps += n
-		}
-		if probe != nil {
-			probe.LaunchEnd(steps)
-		}
-		return run, nil
-	}
-
-	// Parallel path: workgroups are claimed dynamically by the pool, each
-	// writing into its own shard; the backing store runs in shared mode
-	// for the duration (striped line locks make idempotent overlapping
-	// writes and cross-workgroup atomics well-defined).
-	shards := make([]*stats.Run, numWGs)
-	errs := make([]error, numWGs)
-	pools := make([][]*eu.Thread, workers)
-	slms := make([]*memory.SLM, workers)
-	for w := range pools {
-		pools[w] = make([]*eu.Thread, threadsPerWG)
-		for i := range pools[w] {
-			pools[w][i] = &eu.Thread{}
-		}
-		slms[w] = g.newSLM()
-	}
 	if probe != nil {
 		probe.LaunchBegin(obs.LaunchEvent{
-			Engine: "functional-parallel", Kernel: spec.Kernel.Name,
+			Engine: "functional", Kernel: spec.Kernel.Name,
 			Policy: g.Cfg.EU.Policy.String(), Width: spec.Kernel.Width.Lanes(),
 		})
 	}
-	g.Mem.Mem.SetShared(true)
-	var totalSteps int64
-	stepCounts := make([]int64, numWGs)
-	par.ForWorker(workers, numWGs, func(worker, wg int) {
-		if err := ctx.Err(); err != nil {
-			errs[wg] = err
-			return
-		}
-		shard := stats.NewRun(spec.Kernel.Name, spec.Kernel.Width.Lanes())
-		// Workgroups run concurrently, so instruction indices are local to
-		// each workgroup; a probe attached here must be safe for concurrent
-		// use (obs.Timeline is) and orders events by timestamp at export.
-		stepCounts[wg], errs[wg] = g.runWorkgroup(pools[worker], slms[worker], &spec, wg, shard, nil, probe, 0)
-		shard.Release()
-		shards[wg] = shard
-	})
-	g.Mem.Mem.SetShared(false)
-
+	pool := make([]*eu.Thread, threadsPerWG)
+	for i := range pool {
+		pool[i] = &eu.Thread{}
+	}
+	slm := g.newSLM()
+	var steps int64
 	for wg := 0; wg < numWGs; wg++ {
-		if errs[wg] != nil {
-			return nil, errs[wg]
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		totalSteps += stepCounts[wg]
-		run.Merge(shards[wg])
+		n, err := g.runWorkgroup(pool, slm, &spec, wg, run, visit, probe, steps)
+		if err != nil {
+			return nil, err
+		}
+		steps += n
 	}
 	if probe != nil {
-		probe.LaunchEnd(totalSteps)
+		probe.LaunchEnd(steps)
 	}
 	return run, nil
 }

@@ -68,16 +68,6 @@ type Config struct {
 	// MaxCycles aborts a timed run that exceeds this budget (simulator
 	// hang guard). Zero means the default of 1e9.
 	MaxCycles int64
-
-	// Workers bounds the host worker pool of the functional engine:
-	// RunFunctional shards a launch's workgroups across this many
-	// goroutines. Values below 1 select runtime.GOMAXPROCS(0); 1 forces
-	// serial execution. Parallel runs produce statistics bit-identical to
-	// serial ones (shards merge in fixed workgroup order). The timed
-	// cycle-level Run is inherently serial — workgroups contend for EUs
-	// and memory cycle by cycle — and ignores this knob; sweeps
-	// parallelize across whole timed runs instead (internal/experiments).
-	Workers int
 }
 
 // DefaultConfig returns the paper's Table 3 machine: 6 EUs × 6 threads,
@@ -90,13 +80,6 @@ func DefaultConfig() Config {
 // policy.
 func (c Config) WithPolicy(p compaction.Policy) Config {
 	c.EU.Policy = p
-	return c
-}
-
-// WithWorkers returns a copy of the config with the functional engine's
-// worker-pool bound set (see the Workers field).
-func (c Config) WithWorkers(k int) Config {
-	c.Workers = k
 	return c
 }
 
@@ -487,8 +470,8 @@ func (g *GPU) RunCtx(ctx context.Context, spec LaunchSpec) (*stats.Run, error) {
 			}
 			if !imminent {
 				// memory.NoEvent and eu.NoWakeup are the same sentinel, so a
-			// no-event answer can never pass the improvement test.
-			if at := g.Mem.NextEvent(cycle); at < best {
+				// no-event answer can never pass the improvement test.
+				if at := g.Mem.NextEvent(cycle); at < best {
 					if at <= cycle+1 {
 						imminent = true
 					} else {

@@ -329,8 +329,7 @@ func TestBarrierAndSLM(t *testing.T) {
 // TestSLMFreshPerWorkgroup runs a kernel in which every workgroup first
 // reads its SLM and then writes it: each workgroup must read zeros, as
 // from a fresh NewSLM, although the engines reuse one scratchpad across
-// workgroups (per thread pool, per parallel worker, and pooled in the
-// timed engine).
+// workgroups (one per functional launch, pooled in the timed engine).
 func TestSLMFreshPerWorkgroup(t *testing.T) {
 	b := kbuild.New("slmfresh", isa.SIMD16)
 	off := b.Vec()
@@ -350,11 +349,10 @@ func TestSLMFreshPerWorkgroup(t *testing.T) {
 	}
 	const groups, gsize = 8, 32
 	for _, c := range []struct {
-		name    string
-		workers int
-		timed   bool
-	}{{"serial", 1, false}, {"parallel", 2, false}, {"timed", 1, true}} {
-		g := New(DefaultConfig().WithWorkers(c.workers))
+		name  string
+		timed bool
+	}{{"functional", false}, {"timed", true}} {
+		g := New(DefaultConfig())
 		ones := make([]uint32, groups*gsize)
 		for i := range ones {
 			ones[i] = 1

@@ -36,7 +36,7 @@ func FuzzKernelGen(f *testing.F) {
 			t.Fatalf("params %+v rejected by kbuild: %v", p, err)
 		}
 		spec := k.Spec(k.ISA.Name, true)
-		g := gpu.New(gpu.DefaultConfig().WithWorkers(1))
+		g := gpu.New(gpu.DefaultConfig())
 		col := &trace.Collector{}
 		if _, err := workloads.ExecuteOpts(g, spec, workloads.ExecOptions{Visit: col.Visit}); err != nil {
 			t.Fatalf("params %+v: serial vs evaluator: %v", p, err)

@@ -27,30 +27,12 @@ func TestCorpusSerialMatchesEvaluator(t *testing.T) {
 				if err != nil {
 					t.Fatalf("index %d: %v", idx, err)
 				}
-				g := gpu.New(gpu.DefaultConfig().WithWorkers(1))
+				g := gpu.New(gpu.DefaultConfig())
 				if _, err := workloads.ExecuteOpts(g, spec, workloads.ExecOptions{}); err != nil {
 					t.Fatalf("index %d (%s): %v", idx, spec.Name, err)
 				}
 			}
 		})
-	}
-}
-
-// TestCorpusParallelEngineAgrees runs the same window through the
-// workgroup-sharded functional engine: the scatter/atomic/SLM shapes
-// the generator emits must be interleaving-independent.
-func TestCorpusParallelEngineAgrees(t *testing.T) {
-	for _, profile := range []string{"mixed", "slm", "memory"} {
-		for idx := 0; idx < 4; idx++ {
-			spec, err := SpecFor(profile, testSeed, idx)
-			if err != nil {
-				t.Fatalf("%s/%d: %v", profile, idx, err)
-			}
-			g := gpu.New(gpu.DefaultConfig().WithWorkers(4))
-			if _, err := workloads.ExecuteOpts(g, spec, workloads.ExecOptions{}); err != nil {
-				t.Fatalf("%s/%d (%s): %v", profile, idx, spec.Name, err)
-			}
-		}
 	}
 }
 
@@ -321,7 +303,7 @@ func TestFromBytesAlwaysValid(t *testing.T) {
 		if err != nil {
 			t.Fatalf("input %d: %v", i, err)
 		}
-		g := gpu.New(gpu.DefaultConfig().WithWorkers(1))
+		g := gpu.New(gpu.DefaultConfig())
 		if _, err := workloads.ExecuteCtx(context.Background(), g, spec, workloads.ExecOptions{}); err != nil {
 			t.Fatalf("input %d: %v", i, err)
 		}

@@ -9,7 +9,6 @@ package memory
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 )
 
 // LineBytes is the cache line size used throughout the hierarchy.
@@ -18,28 +17,16 @@ const LineBytes = 64
 // LineAddr returns the line-aligned address containing addr.
 func LineAddr(addr uint32) uint32 { return addr &^ (LineBytes - 1) }
 
-// flatStripes is the number of lock stripes guarding shared-mode access.
-// Stripes are keyed by cache-line address, so two accesses to the same
-// line always serialize while accesses to different lines almost never
-// contend.
-const flatStripes = 256
-
 // Flat is the functional backing store: a flat, byte-addressable global
 // memory with a bump allocator. Address 0 is reserved so that a zero
 // pointer is always invalid.
 //
-// By default Flat is single-owner and unsynchronized. The parallel
-// functional engine executes workgroups from several goroutines against
-// one store, entering shared mode via SetShared for the duration: every
-// access then takes the lock stripe(s) of the line(s) it touches, which
-// makes overlapping writes (idempotent flags) and cross-workgroup atomics
-// well-defined. Alloc remains single-owner — buffers are created during
-// workload setup, never mid-launch.
+// Flat is single-owner and unsynchronized: every engine executes a
+// launch on one goroutine, so issue order alone defines the outcome of
+// overlapping writes and atomics.
 type Flat struct {
-	data   []byte
-	brk    uint32
-	shared bool
-	locks  [flatStripes]sync.Mutex
+	data []byte
+	brk  uint32
 }
 
 // NewFlat creates a backing store with the given initial capacity.
@@ -71,73 +58,22 @@ func (f *Flat) check(addr uint32, n int) {
 	}
 }
 
-// SetShared switches concurrent-access protection on or off. It must only
-// be called while no accesses are in flight (before workers start /
-// after they join; the goroutine fork and join order the flag itself).
-func (f *Flat) SetShared(on bool) { f.shared = on }
-
-// lockRange takes the lock stripes covering [addr, addr+n) in ascending
-// order and returns the matching unlock. In single-owner mode it is free.
-func (f *Flat) lockRange(addr uint32, n int) func() {
-	if !f.shared {
-		return nil
-	}
-	lo := int(addr / LineBytes)
-	hi := int((addr + uint32(n) - 1) / LineBytes)
-	if hi-lo >= flatStripes { // huge block access: take every stripe
-		lo, hi = 0, flatStripes-1
-	}
-	first := lo % flatStripes
-	if hi == lo { // common case: one line, one stripe
-		f.locks[first].Lock()
-		return f.locks[first].Unlock
-	}
-	// Multi-line access: lock each covered stripe once, ascending by
-	// stripe index so concurrent range accesses cannot deadlock.
-	var held [flatStripes]bool
-	for s := lo; s <= hi; s++ {
-		held[s%flatStripes] = true
-	}
-	for s := 0; s < flatStripes; s++ {
-		if held[s] {
-			f.locks[s].Lock()
-		}
-	}
-	return func() {
-		for s := 0; s < flatStripes; s++ {
-			if held[s] {
-				f.locks[s].Unlock()
-			}
-		}
-	}
-}
-
 // ReadU32 reads a 32-bit word.
 func (f *Flat) ReadU32(addr uint32) uint32 {
 	f.check(addr, 4)
-	if unlock := f.lockRange(addr, 4); unlock != nil {
-		defer unlock()
-	}
 	return binary.LittleEndian.Uint32(f.data[addr:])
 }
 
 // WriteU32 writes a 32-bit word.
 func (f *Flat) WriteU32(addr uint32, v uint32) {
 	f.check(addr, 4)
-	if unlock := f.lockRange(addr, 4); unlock != nil {
-		defer unlock()
-	}
 	binary.LittleEndian.PutUint32(f.data[addr:], v)
 }
 
-// AtomicAdd adds v to the word at addr and returns the previous value. In
-// single-owner mode issue order defines atomicity; in shared mode the
-// line's lock stripe makes the read-modify-write indivisible.
+// AtomicAdd adds v to the word at addr and returns the previous value;
+// issue order defines atomicity.
 func (f *Flat) AtomicAdd(addr uint32, v uint32) uint32 {
 	f.check(addr, 4)
-	if unlock := f.lockRange(addr, 4); unlock != nil {
-		defer unlock()
-	}
 	old := binary.LittleEndian.Uint32(f.data[addr:])
 	binary.LittleEndian.PutUint32(f.data[addr:], old+v)
 	return old
@@ -147,9 +83,6 @@ func (f *Flat) AtomicAdd(addr uint32, v uint32) uint32 {
 // value.
 func (f *Flat) AtomicMin(addr uint32, v uint32) uint32 {
 	f.check(addr, 4)
-	if unlock := f.lockRange(addr, 4); unlock != nil {
-		defer unlock()
-	}
 	old := binary.LittleEndian.Uint32(f.data[addr:])
 	if v < old {
 		binary.LittleEndian.PutUint32(f.data[addr:], v)
@@ -160,18 +93,12 @@ func (f *Flat) AtomicMin(addr uint32, v uint32) uint32 {
 // WriteBytes copies src to memory at addr.
 func (f *Flat) WriteBytes(addr uint32, src []byte) {
 	f.check(addr, len(src))
-	if unlock := f.lockRange(addr, len(src)); unlock != nil {
-		defer unlock()
-	}
 	copy(f.data[addr:], src)
 }
 
 // ReadBytes copies memory at addr into dst.
 func (f *Flat) ReadBytes(addr uint32, dst []byte) {
 	f.check(addr, len(dst))
-	if unlock := f.lockRange(addr, len(dst)); unlock != nil {
-		defer unlock()
-	}
 	copy(dst, f.data[addr:])
 }
 

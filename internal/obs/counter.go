@@ -6,8 +6,8 @@ import "sync"
 // behind the sweep engine's "trace once" guarantee: a test attaches one
 // Counts to every cell of a sweep (via ContextWithProbes) and asserts the
 // number of functional executions matches the number of distinct
-// workloads, not the number of cells. Safe for concurrent use; the
-// parallel functional engine and concurrent sweep cells may all drive it.
+// workloads, not the number of cells. Safe for concurrent use:
+// concurrent sweep cells may all drive it.
 type Counts struct {
 	NullProbe
 	mu       sync.Mutex

@@ -11,11 +11,10 @@
 // timed loop still performs zero heap allocations with the layer
 // compiled in, and BenchmarkSimulatorThroughput tracks its cycle cost.
 //
-// Engines emit; recorders interpret. A Probe implementation attached to
-// the serial timed engine is driven from one goroutine. The parallel
-// functional engine drives the same probe from every worker, so
-// implementations that may be attached there must be safe for concurrent
-// use (Timeline is).
+// Engines emit; recorders interpret. Every engine run drives its probe
+// from one goroutine. One recorder may still be shared by runs on
+// several goroutines — the cells of a sweep, say — so recorders that may
+// be shared must be safe for concurrent use (Timeline and Counts are).
 package obs
 
 import (
@@ -56,7 +55,7 @@ type Probe interface {
 
 // LaunchEvent describes one engine run.
 type LaunchEvent struct {
-	Engine string // "timed", "functional", "functional-parallel", "trace-replay"
+	Engine string // "timed", "functional", "trace-replay"
 	Kernel string
 	Policy string
 	Width  int // kernel SIMD width in lanes

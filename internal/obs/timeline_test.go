@@ -160,12 +160,12 @@ func TestTimelineMonotonicPerTrack(t *testing.T) {
 	}
 }
 
-// TestTimelineConcurrentUse drives one run from many goroutines (the
-// parallel functional engine's shape) under the race detector.
+// TestTimelineConcurrentUse drives one run from many goroutines (one
+// recorder shared by concurrent engine runs) under the race detector.
 func TestTimelineConcurrentUse(t *testing.T) {
 	tl := NewTimeline()
 	r := tl.Run("par")
-	r.LaunchBegin(LaunchEvent{Engine: "functional-parallel", Kernel: "k", Width: 16})
+	r.LaunchBegin(LaunchEvent{Engine: "functional", Kernel: "k", Width: 16})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

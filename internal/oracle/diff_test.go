@@ -131,7 +131,7 @@ func TestTraceCheckerStreamsSeededFaults(t *testing.T) {
 		rule string
 	}{{scc, "cost/scc-exact"}, {bcc, "cost/bcc-exact"}, {nil, ""}} {
 		chk := &TraceChecker{Cost: c.cost}
-		_, err := workloads.ExecuteCtx(context.Background(), gpu.New(gpu.DefaultConfig().WithWorkers(1)), spec,
+		_, err := workloads.ExecuteCtx(context.Background(), gpu.New(gpu.DefaultConfig()), spec,
 			workloads.ExecOptions{Size: workloads.QuickSize(spec), Visit: chk.Visit})
 		if err != nil {
 			t.Fatal(err)

@@ -7,8 +7,8 @@
 // all-dead quads, SCC always reaches ceil(popcount/group) cycles, the
 // Ivy Bridge SIMD16 half-mask rule is the baseline all gains are
 // measured against — and the engine that computes them has grown fast
-// paths (lookup tables, memoized schedule caches, closed-form swizzle
-// counts, parallel sharding, pooled zero-alloc loops) that are each
+// paths (lookup tables, closed-form swizzle counts, pooled zero-alloc
+// loops) that are each
 // trusted to be bit-identical to a slower path. This package re-derives
 // the slow path from the paper alone and diffs the engine against it.
 package oracle
@@ -26,13 +26,13 @@ package oracle
 // order; TestModelIndependence's companion checks in oracle_test.go pin
 // the correspondence.
 const (
-	Baseline = 0
-	IvyBridge = 1
-	BCC = 2
-	SCC = 3
-	Melding = 4
-	Resize = 5
-	ITS = 6
+	Baseline    = 0
+	IvyBridge   = 1
+	BCC         = 2
+	SCC         = 3
+	Melding     = 4
+	Resize      = 5
+	ITS         = 6
 	NumPolicies = 7
 )
 

@@ -1,10 +1,10 @@
 // Package par provides the bounded worker pools behind every parallel
-// path of the simulator: workgroup sharding in the functional engine,
-// experiment-cell fan-out in the experiments registry, and the policy ×
-// workload sweeps of the CLI tools. Work distribution is dynamic (an
-// atomic cursor) so imbalanced items still fill the pool, but callers
-// index results by item, so the *aggregation* order — and therefore every
-// statistic — is independent of scheduling.
+// path of the simulator: experiment-cell fan-out in the experiments
+// registry and the execution groups of a sweep. Each item is a whole,
+// independent run. Work distribution is dynamic (an atomic cursor) so
+// imbalanced items still fill the pool, but callers index results by
+// item, so the *aggregation* order — and therefore every statistic — is
+// independent of scheduling.
 package par
 
 import (
@@ -24,24 +24,21 @@ func Workers(k int) int {
 
 // For runs fn(i) for every i in [0, n), fanned out across at most
 // `workers` goroutines (normalized via Workers). It returns when all
-// items are done. fn must not panic; items are claimed dynamically, so
-// two calls may execute the same item on different goroutines — fn must
-// only touch state owned by item i or state that is safe to share.
+// items are done. Each item is claimed by exactly one goroutine, so fn
+// may write state owned by item i without locking.
 //
 // With workers <= 1 (after normalization, i.e. Workers(k) == 1) or n <= 1
 // the items run inline on the calling goroutine, in order; no goroutines
 // are spawned. This makes worker-count 1 an exact serial execution, which
 // the determinism tests rely on.
+//
+// A panic in fn on a worker goroutine does not take the process down:
+// the worker recovers it and goes on claiming items, and once every item
+// has run For panics again on the calling goroutine with the value of the
+// lowest-indexed panicking item. A recover in the caller — or in any
+// function up its stack — therefore sees the same value it would see
+// from a serial run.
 func For(workers, n int, fn func(i int)) {
-	ForWorker(workers, n, func(_, i int) { fn(i) })
-}
-
-// ForWorker is For with the worker's pool slot exposed: fn(w, i) runs
-// item i on worker w, where 0 <= w < min(Workers(workers), n). At most
-// one item runs on a given w at a time, so fn may use w to index
-// per-worker scratch state (e.g. reusable thread contexts) without
-// locking.
-func ForWorker(workers, n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
@@ -51,26 +48,46 @@ func ForWorker(workers, n int, fn func(worker, i int)) {
 	}
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
+	var (
+		cursor   atomic.Int64
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		panicked = n // lowest index whose fn panicked; n = none
+		value    any
+	)
+	run := func(i int) {
+		defer func() {
+			if v := recover(); v != nil {
+				mu.Lock()
+				if i < panicked {
+					panicked, value = i, v
+				}
+				mu.Unlock()
+			}
+		}()
+		fn(i)
+	}
 	wg.Add(w)
 	for g := 0; g < w; g++ {
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				fn(worker, i)
+				run(i)
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
+	if panicked < n {
+		panic(value)
+	}
 }
 
 // ForErr runs fn(i) for every i in [0, n) like For and returns the error

@@ -67,3 +67,48 @@ func TestForErrLowestIndexWins(t *testing.T) {
 		t.Fatalf("ForErr on success = %v", err)
 	}
 }
+
+// TestForCarriesWorkerPanicToCaller requires a panic on a worker
+// goroutine to reach the caller's recover with its original value, after
+// every other item has run: a recover up the caller's stack (a server's
+// request handler, say) then covers fanned-out work too.
+func TestForCarriesWorkerPanicToCaller(t *testing.T) {
+	const n = 10
+	type boom struct{ item int }
+	var ran [n]atomic.Bool
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		For(2, n, func(i int) {
+			if i == 3 {
+				panic(boom{i})
+			}
+			ran[i].Store(true)
+		})
+		return nil
+	}()
+	if got != (boom{3}) {
+		t.Fatalf("recovered %v, want the worker's original panic value %v", got, boom{3})
+	}
+	for i := range ran {
+		if i != 3 && !ran[i].Load() {
+			t.Errorf("item %d had not run when For re-panicked", i)
+		}
+	}
+}
+
+// TestForPanicValueIsLowestIndex pins which value wins when several
+// items panic: the lowest-indexed one, whatever the scheduling.
+func TestForPanicValueIsLowestIndex(t *testing.T) {
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		For(4, 64, func(i int) {
+			if i%8 == 5 {
+				panic(i)
+			}
+		})
+		return nil
+	}()
+	if got != 5 {
+		t.Fatalf("recovered %v, want 5", got)
+	}
+}

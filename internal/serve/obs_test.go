@@ -285,7 +285,7 @@ func TestRunPayloadGolden(t *testing.T) {
 	}
 
 	// Same request, same bytes: the payload encoding is deterministic.
-	_, data2 := post(t, ts, "/v1/run", `{"workload":"bsearch","timed":true,"size":2000,"policy":"scc","workers":3}`)
+	_, data2 := post(t, ts, "/v1/run", `{"workload":"bsearch","timed":true,"size":2000,"policy":"scc"}`)
 	if !bytes.Equal(data, data2) {
 		t.Fatal("payload encoding is not deterministic across equivalent requests")
 	}

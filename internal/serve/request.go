@@ -39,14 +39,8 @@ type RunRequest struct {
 	SkipVerify bool `json:"skipVerify,omitempty"`
 	// Timeline embeds a Chrome-trace/Perfetto timeline of the run in the
 	// response (also settable as ?timeline=1 on the request URL). It
-	// changes the response bytes, so unlike Workers it is part of the
-	// cache key; timeline runs force the serial functional engine so the
-	// recorded event stream is deterministic.
+	// changes the response bytes, so it is part of the cache key.
 	Timeline bool `json:"timeline,omitempty"`
-	// Workers bounds the functional engine's worker pool. It is a
-	// scheduling knob — results are bit-identical at any worker count —
-	// so it is excluded from the cache key.
-	Workers int `json:"workers,omitempty"`
 }
 
 // normalize validates the request and folds equivalent spellings onto
@@ -78,26 +72,20 @@ func (r *RunRequest) normalize() error {
 	if r.DCLinesPerCycle == 0 {
 		r.DCLinesPerCycle = 1
 	}
-	if r.Workers < 0 {
-		r.Workers = 0
-	}
 	return nil
 }
 
-// key is the content address of the canonicalized request. Workers is
-// zeroed first: it never changes the result bytes, only the wall-clock.
-func (r RunRequest) key() string {
-	r.Workers = 0
-	return hashJSON("run", r)
-}
+// key is the content address of the canonicalized request.
+func (r RunRequest) key() string { return hashJSON("run", r) }
 
 // ExperimentRequest asks for one paper table/figure rendering, or the
 // whole suite with ID "all".
 type ExperimentRequest struct {
 	ID    string `json:"id"`
 	Quick bool   `json:"quick,omitempty"`
-	// Workers bounds the experiment cell pool; excluded from the cache
-	// key (output is byte-identical at any worker count).
+	// Workers bounds the experiment cell pool. It never changes the
+	// output, so it is part of neither the cache key nor the echoed
+	// request: cached bytes must not depend on which request filled them.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -204,10 +192,9 @@ func (r *SweepRequest) cells() ([]RunRequest, error) {
 
 // groupKey is the content address of a cell's execution group: every
 // field of the canonicalized cell except the policy (served by the
-// shared execution) and the worker knob (never part of any key).
+// shared execution).
 func (r RunRequest) groupKey() string {
 	r.Policy = ""
-	r.Workers = 0
 	return hashJSON("sweepgroup", r)
 }
 

@@ -8,11 +8,12 @@
 // Three properties shape the implementation:
 //
 //   - Determinism makes results content-addressable. Every simulation is
-//     a pure function of its canonicalized request (fixed seeds, fixed
-//     shard merge order — DESIGN.md §7), so responses live in an LRU
+//     a pure function of its canonicalized request (fixed seeds, results
+//     merged in item order — DESIGN.md §7), so responses live in an LRU
 //     cache keyed by a hash of the request and a hit returns the exact
-//     bytes of the run that populated it. Scheduling knobs (Workers)
-//     are excluded from the key.
+//     bytes of the run that populated it. The experiment cell pool
+//     (ExperimentRequest.Workers) is a scheduling knob: it is excluded
+//     from the key and from the echoed request.
 //   - Identical concurrent requests coalesce onto one flight: exactly
 //     one simulation runs, every waiter gets its bytes. A flight's run
 //     context derives from the server's base context and is cancelled
@@ -372,15 +373,10 @@ func (s *Server) executeRun(ctx context.Context, req *RunRequest) (*response, er
 	cfg := gpu.DefaultConfig().WithPolicy(policy)
 	cfg.Mem.DCLinesPerCycle = req.DCLinesPerCycle
 	cfg.Mem.PerfectL3 = req.PerfectL3
-	cfg.Workers = req.Workers
 	var tl *obs.Timeline
 	if req.Timeline {
 		tl = obs.NewTimeline()
 		cfg.EU.Probe = tl.Run(req.Workload + "/" + req.Policy)
-		// Responses are content-addressed: force the serial functional
-		// engine so the recorded event order — and therefore the cached
-		// bytes — never depends on worker scheduling.
-		cfg.Workers = 1
 	}
 	runStart := time.Now()
 	run, err := workloads.ExecuteCtx(ctx, gpu.New(cfg), spec, workloads.ExecOptions{
@@ -461,10 +457,12 @@ func (s *Server) executeExperiment(ctx context.Context, req *ExperimentRequest) 
 	s.observeRun(ctx, runStart, 0, false)
 
 	encStart := time.Now()
+	echo := *req
+	echo.Workers = 0
 	body, err := json.Marshal(struct {
 		Request *ExperimentRequest `json:"request"`
 		Output  string             `json:"output"`
-	}{req, buf.String()})
+	}{&echo, buf.String()})
 	if err != nil {
 		return nil, err
 	}

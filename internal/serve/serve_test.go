@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -128,8 +129,7 @@ func TestRunCacheByteIdenticalAndFaster(t *testing.T) {
 }
 
 // TestEquivalentRequestsShareOneCacheEntry checks canonicalization:
-// spellings that normalize to the same simulation hit the same entry,
-// and the worker knob never splits the key.
+// spellings that normalize to the same simulation hit the same entry.
 func TestEquivalentRequestsShareOneCacheEntry(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, data1 := post(t, ts, "/v1/run", `{"workload":"bsearch","policy":"ivb"}`)
@@ -137,9 +137,8 @@ func TestEquivalentRequestsShareOneCacheEntry(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, data1)
 	}
 	for _, body := range []string{
-		`{"workload":"bsearch"}`,                            // defaults spelled implicitly
-		`{"workload":"bsearch","size":0,"policy":"ivb"}`,    // defaults spelled explicitly
-		`{"workload":"bsearch","workers":3,"policy":"ivb"}`, // scheduling knob
+		`{"workload":"bsearch"}`,                         // defaults spelled implicitly
+		`{"workload":"bsearch","size":0,"policy":"ivb"}`, // defaults spelled explicitly
 	} {
 		resp, data := post(t, ts, "/v1/run", body)
 		if resp.StatusCode != http.StatusOK {
@@ -355,6 +354,46 @@ func TestExperimentEndpoint(t *testing.T) {
 	}
 }
 
+// TestExperimentEchoOmitsWorkers requires an experiment's bytes not to
+// depend on its cell pool: the pool is not part of the cache key, so if
+// the echoed request carried it, a cache entry would hold whichever
+// spelling filled it first.
+func TestExperimentEchoOmitsWorkers(t *testing.T) {
+	_, ts1 := newTestServer(t, Config{})
+	resp, withWorkers := post(t, ts1, "/v1/experiment", `{"id":"fig10","quick":true,"workers":2}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, withWorkers)
+	}
+	_, ts2 := newTestServer(t, Config{})
+	resp, plain := post(t, ts2, "/v1/experiment", `{"id":"fig10","quick":true}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, plain)
+	}
+	if !bytes.Equal(withWorkers, plain) {
+		t.Fatalf("response depends on the worker count:\n%.200s\nvs\n%.200s", withWorkers, plain)
+	}
+}
+
+// TestRunRejectsWorkers pins that /v1/run has no worker knob: the
+// functional engine is serial, and an unknown field is a 400.
+func TestRunRejectsWorkers(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, data := post(t, ts, "/v1/run", `{"workload":"bsearch","workers":3}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d (%s), want 400", resp.StatusCode, data)
+	}
+	var e struct {
+		Error struct {
+			Code    string `json:"code"`
+			Message string `json:"message"`
+		} `json:"error"`
+	}
+	if err := json.Unmarshal(data, &e); err != nil || e.Error.Code != "invalid_request" ||
+		!strings.Contains(e.Error.Message, `unknown field "workers"`) {
+		t.Fatalf("error body %s is not the invalid_request unknown-field envelope", data)
+	}
+}
+
 func TestValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {
@@ -441,7 +480,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestRequestKeyNormalization(t *testing.T) {
 	a := RunRequest{Workload: "bsearch"}
-	b := RunRequest{Workload: "bsearch", Policy: "ivybridge", Workers: 7}
+	b := RunRequest{Workload: "bsearch", Policy: "ivybridge"}
 	for _, r := range []*RunRequest{&a, &b} {
 		if err := r.normalize(); err != nil {
 			t.Fatal(err)

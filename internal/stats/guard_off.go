@@ -8,4 +8,3 @@ package stats
 type writerGuard struct{}
 
 func (writerGuard) assertOwner() {}
-func (writerGuard) release()     {}

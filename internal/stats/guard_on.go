@@ -11,12 +11,12 @@ import (
 )
 
 // writerGuard asserts that a Run accumulator has exactly one writing
-// goroutine at a time. Shards of the parallel engine are single-owner by
-// construction; this debug check (enabled with `-tags statsguard`)
-// catches accidental sharing — e.g. two workgroups handed the same shard —
-// before it silently corrupts counters. The check is too slow for release
-// builds (it reads the goroutine id off the stack), which is exactly why
-// it lives behind a build tag.
+// goroutine for its whole life. Every engine run and every experiment or
+// sweep cell accumulates into a Run it owns; this debug check (enabled
+// with `-tags statsguard`) catches accidental sharing — e.g. two cells
+// handed the same Run — before it silently corrupts counters. The check
+// is too slow for release builds (it reads the goroutine id off the
+// stack), which is exactly why it lives behind a build tag.
 type writerGuard struct {
 	owner atomic.Int64 // goroutine id of the current writer; 0 = unowned
 }
@@ -38,7 +38,7 @@ func goid() int64 {
 }
 
 // assertOwner claims the accumulator for the calling goroutine on first
-// write and panics if a different goroutine writes before release.
+// write and panics if a different goroutine writes later.
 func (g *writerGuard) assertOwner() {
 	id := goid()
 	if g.owner.CompareAndSwap(0, id) {
@@ -48,7 +48,3 @@ func (g *writerGuard) assertOwner() {
 		panic(fmt.Sprintf("stats: concurrent Run mutation: goroutine %d wrote to an accumulator owned by goroutine %d", id, got))
 	}
 }
-
-// release relinquishes ownership so another goroutine (the merger) may
-// legally take over.
-func (g *writerGuard) release() { g.owner.Store(0) }

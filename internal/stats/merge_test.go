@@ -47,8 +47,8 @@ func record(r *Run, stream []synthInstr, rng *rand.Rand) {
 	r.QuadFetches += int64(len(stream))
 }
 
-// TestMergeShardsEqualsUnsharded is the property the parallel engine
-// depends on: merging per-shard accumulations in order produces exactly
+// TestMergeShardsEqualsUnsharded is the property multi-launch workloads
+// depend on: merging per-launch accumulations in order produces exactly
 // the same Run — WidthHist totals, stall windows, policy cycles, energy
 // proxies — as accumulating the whole stream into one Run.
 func TestMergeShardsEqualsUnsharded(t *testing.T) {

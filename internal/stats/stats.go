@@ -296,11 +296,6 @@ func (r *Run) Merge(other *Run) {
 	r.EUBusy += other.EUBusy
 }
 
-// Release ends the current goroutine's write ownership of r (statsguard
-// builds only; a no-op otherwise). The parallel engine calls it when a
-// worker hands a finished shard to the merger.
-func (r *Run) Release() { r.guard.release() }
-
 // Summary renders a human-readable report of the run.
 func (r *Run) Summary() string {
 	var b strings.Builder

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"reflect"
 	"testing"
 
 	"intrawarp/internal/compaction"
@@ -157,5 +158,25 @@ func TestRegistryLookups(t *testing.T) {
 		if div[i-1].Name >= div[i].Name {
 			t.Fatal("divergent set not sorted")
 		}
+	}
+}
+
+// TestExecuteSkipVerify checks the verification-off-the-hot-path option
+// still produces the same statistics as a verified run.
+func TestExecuteSkipVerify(t *testing.T) {
+	spec, err := ByName("bsearch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	verified, err := ExecuteOpts(gpu.New(gpu.DefaultConfig()), spec, ExecOptions{Size: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	skipped, err := ExecuteOpts(gpu.New(gpu.DefaultConfig()), spec, ExecOptions{Size: 256, SkipVerify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(verified, skipped) {
+		t.Fatal("SkipVerify changed statistics")
 	}
 }

@@ -29,8 +29,8 @@
 //	run, err := g.Run(intrawarp.LaunchSpec{Kernel: kernel, GlobalSize: 1024, GroupSize: 64, Args: []uint32{buf}})
 //
 // Entry points take functional options (see options.go): machine knobs
-// like WithPolicy and WithWorkers configure NewGPU, WithSize / WithTimed
-// parameterize RunWorkload, and WithOutput / WithQuick parameterize
+// like WithPolicy configure NewGPU, WithSize / WithTimed parameterize
+// RunWorkload, and WithOutput / WithQuick / WithWorkers parameterize
 // RunExperiment.
 //
 // The workload library (internal/workloads, surfaced through Workloads and
@@ -202,7 +202,7 @@ func WorkloadByName(name string) (*Workload, error) { return workloads.ByName(na
 // RunWorkload executes a benchmark on g and returns its statistics after
 // host-side verification. By default it runs the fast functional model at
 // the workload's default problem size; refine with WithSize, WithTimed,
-// WithWorkers, and WithoutVerify.
+// and WithoutVerify.
 func RunWorkload(g *GPU, w *Workload, opts ...RunOption) (*Run, error) {
 	return RunWorkloadCtx(context.Background(), g, w, opts...)
 }
@@ -211,20 +211,13 @@ func RunWorkload(g *GPU, w *Workload, opts ...RunOption) (*Run, error) {
 // workgroups (functional model) or within a bounded cycle window (timed
 // model) once ctx is done, returning ctx.Err() instead of partial stats.
 func RunWorkloadCtx(ctx context.Context, g *GPU, w *Workload, opts ...RunOption) (*Run, error) {
-	var s runSettings
+	var exec workloads.ExecOptions
 	for _, o := range opts {
-		if err := o.applyRun(&s); err != nil {
+		if err := o.applyRun(&exec); err != nil {
 			return nil, err
 		}
 	}
-	if s.hasWorkers {
-		// Override the functional engine's pool for this run only: the
-		// clone shares memory and EUs, so results land in g as usual.
-		clone := *g
-		clone.Cfg.Workers = s.workers
-		g = &clone
-	}
-	return workloads.ExecuteCtx(ctx, g, w, s.exec)
+	return workloads.ExecuteCtx(ctx, g, w, exec)
 }
 
 // Experiments returns the paper-reproduction registry.

@@ -10,10 +10,9 @@ import (
 )
 
 // The public entry points take functional options so new simulator knobs
-// (worker pools, memory-system variants, …) can be added without growing
-// positional signatures. Options are interfaces rather than bare function
-// types so one option can apply to several call sites: WithWorkers
-// configures a GPU, a single workload run, or an experiment sweep alike.
+// (memory-system variants, …) can be added without growing positional
+// signatures. Each option type has one unexported apply method, so an
+// option passed to the wrong entry point fails to compile.
 
 // ConfigOption adjusts a machine configuration built by NewConfig or
 // NewGPU.
@@ -23,7 +22,7 @@ type ConfigOption interface {
 
 // RunOption adjusts one RunWorkload execution.
 type RunOption interface {
-	applyRun(*runSettings) error
+	applyRun(*workloads.ExecOptions) error
 }
 
 // ExperimentOption adjusts a RunExperiment or RunAllExperiments sweep.
@@ -31,20 +30,13 @@ type ExperimentOption interface {
 	applyExperiment(*experiments.Context) error
 }
 
-// runSettings collects the effective RunWorkload parameters.
-type runSettings struct {
-	exec       workloads.ExecOptions
-	workers    int
-	hasWorkers bool
-}
-
 type configOptionFunc func(*gpu.Config) error
 
 func (f configOptionFunc) applyConfig(c *gpu.Config) error { return f(c) }
 
-type runOptionFunc func(*runSettings) error
+type runOptionFunc func(*workloads.ExecOptions) error
 
-func (f runOptionFunc) applyRun(s *runSettings) error { return f(s) }
+func (f runOptionFunc) applyRun(e *workloads.ExecOptions) error { return f(e) }
 
 type experimentOptionFunc func(*experiments.Context) error
 
@@ -53,11 +45,11 @@ func (f experimentOptionFunc) applyExperiment(c *experiments.Context) error { re
 // WithSize sets the problem scale of a workload run; 0 selects the
 // workload's default. Negative sizes are rejected.
 func WithSize(n int) RunOption {
-	return runOptionFunc(func(s *runSettings) error {
+	return runOptionFunc(func(e *workloads.ExecOptions) error {
 		if n < 0 {
 			return fmt.Errorf("intrawarp: WithSize(%d): size must be non-negative", n)
 		}
-		s.exec.Size = n
+		e.Size = n
 		return nil
 	})
 }
@@ -65,8 +57,8 @@ func WithSize(n int) RunOption {
 // WithTimed selects the cycle-level simulator for a workload run; the
 // default is the fast functional model.
 func WithTimed() RunOption {
-	return runOptionFunc(func(s *runSettings) error {
-		s.exec.Timed = true
+	return runOptionFunc(func(e *workloads.ExecOptions) error {
+		e.Timed = true
 		return nil
 	})
 }
@@ -75,8 +67,8 @@ func WithTimed() RunOption {
 // Sweeps that re-execute one workload under many machine configurations
 // verify one cell and skip the rest.
 func WithoutVerify() RunOption {
-	return runOptionFunc(func(s *runSettings) error {
-		s.exec.SkipVerify = true
+	return runOptionFunc(func(e *workloads.ExecOptions) error {
+		e.SkipVerify = true
 		return nil
 	})
 }
@@ -173,34 +165,13 @@ func WithMaxCycles(n int64) ConfigOption {
 	})
 }
 
-// WorkersOption bounds a host worker pool. It applies in all three
-// option positions: as a ConfigOption it sets the GPU's functional-engine
-// pool, as a RunOption it overrides that pool for one workload run, and
-// as an ExperimentOption it bounds the experiment-cell pool.
-type WorkersOption interface {
-	ConfigOption
-	RunOption
-	ExperimentOption
+// WithWorkers bounds the experiment-cell worker pool to k goroutines.
+// Values below 1 select runtime.GOMAXPROCS(0); 1 forces serial
+// execution. Output is byte-identical at any worker count (see
+// DESIGN.md §7).
+func WithWorkers(k int) ExperimentOption {
+	return experimentOptionFunc(func(c *experiments.Context) error {
+		c.Workers = k
+		return nil
+	})
 }
-
-type workersOption int
-
-func (k workersOption) applyConfig(c *gpu.Config) error {
-	c.Workers = int(k)
-	return nil
-}
-
-func (k workersOption) applyRun(s *runSettings) error {
-	s.workers, s.hasWorkers = int(k), true
-	return nil
-}
-
-func (k workersOption) applyExperiment(c *experiments.Context) error {
-	c.Workers = int(k)
-	return nil
-}
-
-// WithWorkers bounds the host worker pool to k goroutines. Values below
-// 1 select runtime.GOMAXPROCS(0); 1 forces serial execution. Parallel
-// runs produce output bit-identical to serial ones (see DESIGN.md §7).
-func WithWorkers(k int) WorkersOption { return workersOption(k) }

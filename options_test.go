@@ -22,12 +22,12 @@ func TestNewConfigDefaults(t *testing.T) {
 // TestConfigOptionComposition checks options apply in order and compose.
 func TestConfigOptionComposition(t *testing.T) {
 	cfg, err := NewConfig(WithPolicy(SCC), WithDCBandwidth(2), WithPerfectL3(),
-		WithWorkers(3), WithMaxCycles(12345))
+		WithMaxCycles(12345))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.EU.Policy != SCC || cfg.Mem.DCLinesPerCycle != 2 || !cfg.Mem.PerfectL3 ||
-		cfg.Workers != 3 || cfg.MaxCycles != 12345 {
+		cfg.MaxCycles != 12345 {
 		t.Fatalf("options not applied: %+v", cfg)
 	}
 
@@ -79,8 +79,20 @@ func TestInvalidOptions(t *testing.T) {
 	}
 }
 
+// TestWithWorkersBoundsExperimentPool checks WithWorkers lands in the
+// experiment context, the one place a worker count applies.
+func TestWithWorkersBoundsExperimentPool(t *testing.T) {
+	ctx, err := newExperimentContext([]ExperimentOption{WithQuick(), WithWorkers(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.Workers != 3 || !ctx.Quick {
+		t.Fatalf("experiment options not applied: %+v", ctx)
+	}
+}
+
 // TestRunWorkloadOptions checks defaults (functional model, default
-// size), WithTimed, and the per-run WithWorkers override.
+// size) and WithTimed.
 func TestRunWorkloadOptions(t *testing.T) {
 	w, err := WorkloadByName("bsearch")
 	if err != nil {
@@ -105,25 +117,6 @@ func TestRunWorkloadOptions(t *testing.T) {
 	}
 	if timed.TotalCycles == 0 {
 		t.Fatal("WithTimed produced no cycle count")
-	}
-
-	// A per-run worker override must not disturb determinism or leak into
-	// the GPU's config.
-	g, _ = NewGPU(WithWorkers(1))
-	serial, err := RunWorkload(g, w, WithSize(256))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, _ := NewGPU(WithWorkers(1))
-	parallel, err := RunWorkload(g2, w, WithSize(256), WithWorkers(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("WithWorkers(8) run diverged from serial statistics")
-	}
-	if g2.Cfg.Workers != 1 {
-		t.Fatalf("per-run WithWorkers leaked into GPU config: %d", g2.Cfg.Workers)
 	}
 }
 
